@@ -1,7 +1,7 @@
 // Ablation: template-unrolled vs generated straight-line codelets.
 //
-// DESIGN.md calls out the codelet backend as a design choice; this bench
-// quantifies it per codelet size.  Expect near-identical times at -O2 (the
+// The codelet backend is a design choice; this bench quantifies it per
+// codelet size.  Expect near-identical times at -O2 (the
 // compiler fully unrolls the template version), which is the justification
 // for treating the two backends as interchangeable.
 #include <benchmark/benchmark.h>

@@ -10,13 +10,10 @@
 //
 // The service loop pops requests from every active slot's ring, admits them
 // through a per-client trailing-window RateLimiter, validates their shape,
-// and routes them into the Engine: single-vector requests go through the
-// coalescing submit() path — concurrent requests from *different client
-// processes* for the same size merge into one batched run, the designed
-// payoff of the PR 5 execution contract — while client-side batches run
-// directly through the arbitrated execute_many.  All execution is in place
-// in the client's shm arena: no vector bytes are ever copied across the
-// process boundary.
+// and runs each one — a single vector or a client-side batch alike — on the
+// service thread through the Engine's arbitrated execute_many before it
+// answers.  All execution is in place in the client's shm arena: no vector
+// bytes are ever copied across the process boundary.
 //
 // Robustness is part of the contract:
 //   * Admission control — a bounded slot table; a client that finds no free
@@ -25,9 +22,9 @@
 //     requests answer kThrottled immediately, without execution, so one
 //     greedy client cannot queue out the others.
 //   * Dead-client reclamation — a pid-liveness sweep every sweep_ms frees
-//     slots whose owner died (SIGKILL included), resets their rings, and
-//     drops their in-flight completions by generation check.  One crashed
-//     client never wedges the daemon.
+//     slots whose owner died (SIGKILL included) and resets their rings; an
+//     answer whose requester released its slot mid-run is dropped by
+//     generation check.  One crashed client never wedges the daemon.
 //   * Clean shutdown — stop() drains in-flight work, answers what it can,
 //     publishes the shutdown flag, wakes every parked waiter, and unlinks
 //     the segment; blocked clients resolve to kDaemonGone instead of
@@ -135,7 +132,7 @@ struct DaemonOptions {
   bool standby = false;
 
   /// The serving Engine's configuration (candidate backends, strategy,
-  /// wisdom file, coalescing window, ...).
+  /// wisdom file, quarantine, telemetry, ...).
   api::EngineOptions engine;
 
   /// Defaults with every WHTLAB_IPC_* environment knob applied.
@@ -229,14 +226,13 @@ class Daemon {
 
  private:
   struct SlotLocal;  // daemon-private per-slot state (limiter, strikes, ...)
-  struct PendingExec;
 
   void service_loop();
-  bool poll_requests(std::vector<PendingExec>& pending);
+  bool poll_requests();
   void handle_request(std::uint32_t index, SlotShared* slot,
-                      std::uint64_t gen, const Request& request,
-                      std::vector<PendingExec>& pending);
-  bool drain_completions(std::vector<PendingExec>& pending, bool block_one);
+                      std::uint64_t gen, const Request& request);
+  /// Answers an executed request unless its tenant left meanwhile
+  /// (generation check): never into a successor tenant's ring.
   void complete(std::uint32_t index, std::uint64_t gen, std::uint64_t seq,
                 Status status);
   void respond(std::uint32_t index, SlotShared* slot, std::uint64_t seq,
@@ -299,7 +295,7 @@ class Daemon {
   Shm shm_;
   Shm stats_shm_;  ///< observer-only telemetry page ("<shm name>.stats")
   std::unique_ptr<api::Engine> engine_;
-  api::ExecContext ctx_;  ///< service-thread scratch for direct batch runs
+  api::ExecContext ctx_;  ///< service-thread scratch for request execution
   /// Daemon-private per-slot trust/budget state (limiter, credit bucket,
   /// strike ledger, last seq counter).  Lives here — never in the shared
   /// segment — so clients cannot rewrite their own budgets or rap sheets.

@@ -315,7 +315,7 @@ struct StatsSeries {
 
 /// Engine-level serving totals published alongside the series table.
 struct StatsTotals {
-  std::uint64_t requests;  ///< singles + submits since Engine construction
+  std::uint64_t requests;  ///< singles + batches since Engine construction
   std::uint64_t vectors;
   std::uint64_t batches;
   std::uint64_t failures;

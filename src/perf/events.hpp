@@ -9,9 +9,6 @@
 //                    (core::count_ops; equals the instrumented execution)
 //   l1/l2 misses  -> trace-driven cache simulation (cachesim::simulate_plan)
 //                    in the Opteron geometry by default
-//
-// See DESIGN.md "Substitutions" for why each stand-in preserves the paper's
-// measurement semantics.
 #pragma once
 
 #include "cachesim/cache.hpp"

@@ -1,8 +1,8 @@
 // Environment-variable configuration knobs.
 //
 // The experiment harness scales with `WHTLAB_SAMPLES`, `WHTLAB_MAXN`, and
-// `WHTLAB_SEED` (see DESIGN.md).  These helpers parse them with defaults so
-// every bench binary interprets the knobs identically.
+// `WHTLAB_SEED` (see the README's environment table).  These helpers parse
+// them with defaults so every bench binary interprets the knobs identically.
 #pragma once
 
 #include <cstdint>

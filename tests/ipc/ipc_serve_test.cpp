@@ -1,7 +1,7 @@
 // End-to-end whtd protocol: Daemon + Client over a real shm segment.
 //
 // The headline guarantee is bit-exactness — every vector served through the
-// daemon (singles through the coalescing submit() path, batches through the
+// daemon (singles and batches alike run on its service thread through the
 // arbitrated execute_many) must equal the in-process Transform bit for bit,
 // including with >= 4 concurrent client *processes* racing each other.
 // Also here: admission control (typed kServerFull when the slot table is
@@ -107,8 +107,7 @@ TEST(IpcServe, FourForkedClientsStayBitExact) {
     const pid_t pid = ::fork();
     ASSERT_GE(pid, 0);
     if (pid == 0) {
-      // Mixed shapes across children: singles (the coalescing path — same-n
-      // submits from different processes merge) and packed batches.
+      // Mixed shapes across children: singles and packed batches.
       const int n = 6 + c % 3;
       const std::size_t count = (c % 2 == 0) ? 1 : 4;
       ::_exit(client_workload(endpoint, n, count, 12,
@@ -128,6 +127,12 @@ TEST(IpcServe, FourForkedClientsStayBitExact) {
   }
   const auto stats = daemon.stats();
   EXPECT_EQ(stats.requests, static_cast<std::uint64_t>(kClients * 12));
+  // One execution path: every request ran directly on the service thread,
+  // none through the Engine's submit() coalescer.
+  const auto engine = daemon.engine().stats();
+  EXPECT_EQ(engine.submitted, 0u);
+  EXPECT_EQ(engine.singles + engine.batches,
+            static_cast<std::uint64_t>(kClients * 12));
   daemon.stop();
 }
 

@@ -9,7 +9,8 @@
 // version intact, series table in bounds, NUL-terminated backend names,
 // min <= max and p50 <= p99 within every populated series, and — with
 // decay disabled — per-series counts and engine totals that only ever move
-// forward.
+// forward.  Once the reader is done, the parent checks that the final page
+// counts every request and vector it sent, batch included.
 //
 // Fork discipline (as in ipc_serve_test): the child is forked BEFORE the
 // Daemon is constructed, while the process is single-threaded, and leaves
@@ -110,6 +111,7 @@ TEST(IpcStatsPage, ForkedObserverNeverSeesATornSnapshot) {
   const int n = 6;
   const std::size_t doubles = std::size_t{1} << n;
   int status = 0;
+  std::uint64_t requests = 0;
   // Serve until the reader is satisfied (it needs 200 consistent snapshots
   // with traffic in them) — bounded by the reader's own spin cap.
   for (int r = 0;; ++r) {
@@ -118,6 +120,7 @@ TEST(IpcStatsPage, ForkedObserverNeverSeesATornSnapshot) {
         util::random_vector(doubles, static_cast<std::uint64_t>(r) + 1);
     std::memcpy(x, input.data(), doubles * sizeof(double));
     ASSERT_EQ(client.transform(n, x, 1), Status::kOk);
+    ++requests;
     const pid_t done = ::waitpid(reader, &status, WNOHANG);
     if (done == reader) break;
     ASSERT_LT(r, 2000000) << "reader child never finished";
@@ -125,6 +128,28 @@ TEST(IpcStatsPage, ForkedObserverNeverSeesATornSnapshot) {
   ASSERT_TRUE(WIFEXITED(status));
   EXPECT_EQ(WEXITSTATUS(status), 0)
       << "reader invariant failed (see reader_main for the code)";
+
+  // One batch request on top of the singles: the page's totals must count
+  // it as one request of `batch` vectors.
+  constexpr std::size_t batch = 3;
+  double* x = client.stage(n, batch);
+  const auto input = util::random_vector(batch * doubles, 7);
+  std::memcpy(x, input.data(), input.size() * sizeof(double));
+  ASSERT_EQ(client.transform(n, x, batch), Status::kOk);
+  const std::uint64_t answered = monotonic_ns();
+
+  // The service thread publishes after it answered, so a page stamped
+  // later than the answer's arrival already counts it.
+  const Shm shm = Shm::open_readonly(stats_shm_name_for(endpoint));
+  const auto* shared = static_cast<const StatsPage*>(shm.data());
+  static StatsPage page;
+  const std::uint64_t give_up = answered + 10000000000ULL;
+  while (!stats_read(*shared, page) || page.header.published_ns <= answered) {
+    ASSERT_LT(monotonic_ns(), give_up) << "no page published after the batch";
+    ::usleep(1000);
+  }
+  EXPECT_EQ(page.header.totals.requests, requests + 1);
+  EXPECT_EQ(page.header.totals.vectors, requests + batch);
 }
 
 }  // namespace

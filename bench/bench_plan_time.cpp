@@ -13,12 +13,13 @@
 // "simd").
 //
 // Noise convention (README bench section): every reported cell is a median
-// over --reps timed repetitions.  Oracle cells drop to 3 repetitions, and
-// to 1 at n >= 20 — a single oracle kEstimate at n = 22 walks ~10^9
-// simulated accesses over minutes, and a deterministic CPU-bound model walk
-// does not need nine samples to witness a two-orders-of-magnitude gap (the
-// per-cell "reps"/"oracle_reps" fields record what each number is a median
-// of).
+// over --reps timed repetitions, recorded with its interquartile range; the
+// file also records the host's core count and SIMD level.  Oracle cells
+// drop to 3 repetitions, and to 1 at n >= 20 — a single oracle kEstimate at
+// n = 22 walks ~10^9 simulated accesses over minutes, and a deterministic
+// CPU-bound model walk does not need nine samples to witness a
+// two-orders-of-magnitude gap (the per-cell "reps"/"oracle_reps" fields
+// record what each number is a median of).
 //
 // Run:  ./bench_plan_time [--out FILE] [--nmin N] [--nmax N] [--step N]
 //                         [--reps N] [--backends a,b,..] [--strategies a,b]
@@ -32,10 +33,12 @@
 #include <algorithm>
 #include <stdexcept>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "api/wht.hpp"
 #include "simd/cpu_features.hpp"
+#include "stats/descriptive.hpp"
 #include "util/cli.hpp"
 
 namespace {
@@ -73,13 +76,6 @@ wht::Strategy parse_strategy(const std::string& name) {
   std::exit(2);
 }
 
-double median(std::vector<double> samples) {
-  std::sort(samples.begin(), samples.end());
-  const std::size_t mid = samples.size() / 2;
-  if (samples.size() % 2 == 1) return samples[mid];
-  return 0.5 * (samples[mid - 1] + samples[mid]);
-}
-
 /// One full Planner().strategy(s).backend(b).plan(n), wall-clock seconds.
 double time_plan_once(wht::Strategy strategy, const std::string& backend,
                       int n) {
@@ -92,14 +88,15 @@ double time_plan_once(wht::Strategy strategy, const std::string& backend,
   return std::chrono::duration<double>(stop - start).count();
 }
 
-double time_plan_median(wht::Strategy strategy, const std::string& backend,
-                        int n, int reps) {
+stats::Quartiles time_plan_quartiles(wht::Strategy strategy,
+                                     const std::string& backend, int n,
+                                     int reps) {
   std::vector<double> samples;
   samples.reserve(static_cast<std::size_t>(reps));
   for (int r = 0; r < reps; ++r) {
     samples.push_back(time_plan_once(strategy, backend, n));
   }
-  return median(samples);
+  return stats::quartiles(samples);
 }
 
 struct Cell {
@@ -107,6 +104,7 @@ struct Cell {
   std::string backend;
   int n = 0;
   double seconds = 0.0;       ///< analytic engine (the default path)
+  double iqr_seconds = 0.0;   ///< its interquartile range over the reps
   int reps = 0;
   double oracle_seconds = -1.0;  ///< trace engine; < 0 = not measured
   int oracle_reps = 0;
@@ -164,7 +162,10 @@ int main(int argc, char** argv) {
         cell.backend = backend;
         cell.n = n;
         cell.reps = reps;
-        cell.seconds = time_plan_median(strategy, backend, n, reps);
+        const stats::Quartiles timed =
+            time_plan_quartiles(strategy, backend, n, reps);
+        cell.seconds = timed.q2;
+        cell.iqr_seconds = timed.iqr();
 
         const bool want_oracle =
             oracle && n <= oracle_nmax &&
@@ -174,7 +175,7 @@ int main(int argc, char** argv) {
           cell.oracle_reps = n >= 20 ? 1 : std::min(3, reps);
           ::setenv("WHTLAB_MODEL_ORACLE", "1", 1);
           cell.oracle_seconds =
-              time_plan_median(strategy, backend, n, cell.oracle_reps);
+              time_plan_quartiles(strategy, backend, n, cell.oracle_reps).q2;
           ::unsetenv("WHTLAB_MODEL_ORACLE");
         }
 
@@ -210,19 +211,23 @@ int main(int argc, char** argv) {
     return 1;
   }
   std::fprintf(json, "{\n  \"bench\": \"plan_time\",\n");
+  std::fprintf(json, "  \"host_cores\": %u,\n",
+               std::thread::hardware_concurrency());
   std::fprintf(json, "  \"level\": \"%s\",\n",
                simd::to_string(simd::active_level()));
   std::fprintf(json,
-               "  \"aggregation\": \"median wall seconds per cell; oracle = "
+               "  \"aggregation\": \"median wall seconds per cell and the "
+               "interquartile range over its reps; oracle = "
                "WHTLAB_MODEL_ORACLE=1 trace walk (pre-PR engine)\",\n");
   std::fprintf(json, "  \"results\": [\n");
   for (std::size_t i = 0; i < cells.size(); ++i) {
     const Cell& cell = cells[i];
     std::fprintf(json,
                  "    {\"strategy\": \"%s\", \"backend\": \"%s\", \"n\": %d, "
-                 "\"plan_seconds\": %.6f, \"reps\": %d",
+                 "\"plan_seconds\": %.6f, \"plan_iqr_seconds\": %.6f, "
+                 "\"reps\": %d",
                  cell.strategy.c_str(), cell.backend.c_str(), cell.n,
-                 cell.seconds, cell.reps);
+                 cell.seconds, cell.iqr_seconds, cell.reps);
     if (cell.oracle_seconds >= 0) {
       std::fprintf(json,
                    ", \"oracle_seconds\": %.6f, \"oracle_reps\": %d, "

@@ -66,8 +66,11 @@ class Planner {
   /// Largest unrolled leaf the searches may use (1..core::kMaxUnrolled).
   Planner& max_leaf(int k);
 
-  /// Cap on split arity explored by the DP strategies; 0 = all compositions,
-  /// -1 (default) = auto (binary/ternary, the WHT package's practice).
+  /// Cap on split arity explored by the DP strategies; -1 (default) = auto
+  /// (4 for kEstimate; ternary to n = 12, then binary, for kMeasure — the
+  /// WHT package's practice).  A cap k bounds the enumeration itself to
+  /// O(n^(k-1)) candidates per size.  0 = all compositions: every one of the
+  /// 2^(m-1) splits of each size m is priced, exponential in n.
   Planner& max_parts(int parts);
 
   /// Random candidates drawn by kSampled (default 200).

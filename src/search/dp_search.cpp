@@ -44,11 +44,8 @@ DpResult dp_search(int n, const CostFn& cost, const DpOptions& options) {
     };
     if (m <= options.max_leaf) consider(core::Plan::small(m));
     if (m >= 2) {
-      util::for_each_composition(m, 2, [&](const std::vector<int>& parts) {
-        if (options.max_parts > 0 &&
-            static_cast<int>(parts.size()) > options.max_parts) {
-          return;
-        }
+      const int max_parts = options.max_parts > 0 ? options.max_parts : m;
+      const auto split = [&](const std::vector<int>& parts) {
         for (int part : parts) {
           if (part < options.min_part) return;
         }
@@ -58,7 +55,8 @@ DpResult dp_search(int n, const CostFn& cost, const DpOptions& options) {
           children.push_back(result.best_by_size[static_cast<std::size_t>(part)]);
         }
         consider(core::Plan::split(std::move(children)));
-      });
+      };
+      util::for_each_composition(m, 2, max_parts, split);
     }
     if (!have) throw std::logic_error("dp_search: no candidate at size " +
                                       std::to_string(m));

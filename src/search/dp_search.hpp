@@ -15,7 +15,13 @@
 // The number of compositions of m is 2^(m-1); with runtime costs this is
 // prohibitive for large m, so candidates can be capped by `max_parts`
 // (the package's practice — binary and ternary splits carry nearly all of
-// the benefit since deeper splits are reachable through recursion).
+// the benefit since deeper splits are reachable through recursion).  The
+// cap bounds the walk itself, not just what gets priced: size m enumerates
+// only its sum_{t=2..max_parts} C(m-1, t-1) compositions (O(m^3) at the
+// kEstimate default of 4: 2,625 at m = 26), in the same ascending mask
+// order as the full walk, so candidates, tie-breaks and evaluation counts
+// do not depend on how they are reached.  `max_parts = 0` still prices all
+// 2^(m-1) - 1 splits of every size m.
 #pragma once
 
 #include <cstdint>
@@ -31,7 +37,8 @@ using CostFn = std::function<double(const core::Plan&)>;
 
 struct DpOptions {
   int max_leaf = core::kMaxUnrolled;
-  /// Cap on composition parts per split; 0 = all 2^(m-1) compositions.
+  /// Cap on composition parts per split; 0 = all 2^(m-1) compositions,
+  /// each priced (exponential in n).
   int max_parts = 0;
   /// Restrict DP to sizes >= this as split parts (always 1).
   int min_part = 1;

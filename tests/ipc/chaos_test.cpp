@@ -31,6 +31,7 @@
 #include "api/transform.hpp"
 #include "ipc/client.hpp"
 #include "ipc/daemon.hpp"
+#include "ipc/protocol.hpp"
 #include "ipc/shm.hpp"
 #include "util/fault.hpp"
 #include "util/rng.hpp"
@@ -47,6 +48,16 @@ constexpr int kLogN = 6;
 std::string unique_endpoint() {
   return "chaos-" + std::to_string(::getpid());
 }
+
+/// Teardown for a test whose daemons die by SIGKILL: a killed daemon never
+/// unlinks its segment or its stats page, and no later test binds the name.
+struct EndpointCleanup {
+  std::string endpoint;
+  ~EndpointCleanup() {
+    Shm::unlink(shm_name_for(endpoint));
+    Shm::unlink(stats_shm_name_for(endpoint));
+  }
+};
 
 /// Client child body: a bounded verifying request stream that must survive
 /// daemon crashes.  Exit codes: 0 ok, 10 no daemon ever, 12 too few
@@ -122,6 +133,7 @@ void run_chaos_daemon(const std::string& endpoint, int round) {
 
 TEST(IpcChaos, VerifyingClientsSurviveDaemonKillRestartCycles) {
   const std::string endpoint = unique_endpoint();
+  const EndpointCleanup cleanup{endpoint};
 
   // Clients first, while we are single-threaded.  They park in
   // wait_for_daemon until the first daemon comes up.
@@ -171,7 +183,6 @@ TEST(IpcChaos, VerifyingClientsSurviveDaemonKillRestartCycles) {
   ASSERT_EQ(::kill(final_daemon, SIGKILL), 0);
   int status = 0;
   ASSERT_EQ(::waitpid(final_daemon, &status, 0), final_daemon);
-  Shm::unlink(shm_name_for(endpoint));  // the last corpse's segment
 }
 
 /// Daemon child body for the crash-during-replay test: no fault injection
@@ -199,6 +210,7 @@ TEST(IpcChaos, ClientKilledDuringReplayIsSweptAndNeighboursStayExact) {
   // reclaim it (reclaimed counter), the slot must be reusable, and the
   // surviving neighbour's stream must stay bit-exact throughout.
   const std::string endpoint = "replay-" + std::to_string(::getpid());
+  const EndpointCleanup cleanup{endpoint};
 
   // Both clients forked first, single-threaded, parking in wait_for_daemon.
   // The 100 ms pacing of run_chaos_client means requests regularly straddle
@@ -260,7 +272,6 @@ TEST(IpcChaos, ClientKilledDuringReplayIsSweptAndNeighboursStayExact) {
 
   ASSERT_EQ(::kill(daemon2, SIGKILL), 0);
   ASSERT_EQ(::waitpid(daemon2, &status, 0), daemon2);
-  Shm::unlink(shm_name_for(endpoint));
 }
 
 }  // namespace

@@ -30,6 +30,16 @@ std::string unique_endpoint(const char* tag) {
   return std::string("crash-") + tag + "-" + std::to_string(::getpid());
 }
 
+/// Teardown for a test whose daemons die by SIGKILL: a killed daemon never
+/// unlinks its segment or its stats page, and no later test binds the name.
+struct EndpointCleanup {
+  std::string endpoint;
+  ~EndpointCleanup() {
+    Shm::unlink(shm_name_for(endpoint));
+    Shm::unlink(stats_shm_name_for(endpoint));
+  }
+};
+
 DaemonOptions daemon_options(const std::string& endpoint,
                              std::uint32_t slots = 16) {
   DaemonOptions options;
@@ -120,6 +130,7 @@ TEST(IpcCrash, DaemonStopResolvesToTypedErrorNotHang) {
 
 TEST(IpcCrash, SigkilledDaemonResolvesToTypedErrorNotHang) {
   const std::string endpoint = unique_endpoint("kill9");
+  const EndpointCleanup cleanup{endpoint};
 
   // The daemon lives in a forked child this time (forked before it has any
   // threads); the parent is the client that outlives it.
@@ -152,12 +163,11 @@ TEST(IpcCrash, SigkilledDaemonResolvesToTypedErrorNotHang) {
   EXPECT_EQ(client.transform(5, x), Status::kDaemonGone);
   const auto elapsed = std::chrono::steady_clock::now() - t0;
   EXPECT_LT(elapsed, std::chrono::seconds(10)) << "daemon death not detected";
-
-  Shm::unlink(shm_name_for(endpoint));  // the corpse's segment
 }
 
 TEST(IpcCrash, DestructorDrainIsBounded) {
   const std::string endpoint = unique_endpoint("drain");
+  const EndpointCleanup cleanup{endpoint};
 
   // The daemon lives in a forked child so it can be SIGSTOPped: alive by
   // the pid probe (no kDaemonGone short-circuit) but serving nothing —
@@ -200,7 +210,6 @@ TEST(IpcCrash, DestructorDrainIsBounded) {
   ASSERT_EQ(::kill(daemon_pid, SIGKILL), 0);
   int status = 0;
   ASSERT_EQ(::waitpid(daemon_pid, &status, 0), daemon_pid);
-  Shm::unlink(shm_name_for(endpoint));
 }
 
 TEST(IpcCrash, StaleSegmentFromDeadDaemonIsTakenOver) {

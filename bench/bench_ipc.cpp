@@ -4,7 +4,7 @@
 // owns the Engine, C forked client processes connect through the shm
 // protocol and hammer it with blocking round trips.  Reported per cell:
 // requests/s, vectors/s, and p50/p99 round-trip latency from merged
-// per-client log2 histograms.  Shapes:
+// per-client telemetry::Stats log2 histograms.  Shapes:
 //
 //   single  one 2^n vector per request (the round-trip latency shape)
 //   batch   --batch vectors per request (the bandwidth shape)
@@ -20,7 +20,6 @@
 #include <unistd.h>
 
 #include <algorithm>
-#include <bit>
 #include <cerrno>
 #include <chrono>
 #include <cstdint>
@@ -37,6 +36,7 @@
 #include "ipc/daemon.hpp"
 #include "ipc/shm.hpp"
 #include "ipc/supervisor.hpp"
+#include "telemetry/accumulator.hpp"
 #include "util/cli.hpp"
 #include "util/rng.hpp"
 
@@ -44,16 +44,14 @@ namespace {
 
 using namespace whtlab;
 
-constexpr int kBuckets = 64;
-
-/// What one client child reports back over its result pipe.
+/// What one client child reports back over its result pipe (raw bytes:
+/// every field is trivially copyable).
 struct ClientReport {
   std::uint64_t requests = 0;
   std::uint64_t vectors = 0;
   std::uint64_t errors = 0;
-  std::uint64_t max_ns = 0;        // worst single round trip (exact)
-  std::uint64_t reconnects = 0;    // re-handshakes (handoff mode)
-  std::uint64_t latency_ns[kBuckets] = {};  // log2 round-trip histogram
+  std::uint64_t reconnects = 0;  // re-handshakes (handoff mode)
+  telemetry::Stats latency_ns;   // round trips: log2 histogram, exact max
 };
 
 std::uint64_t now_ns() {
@@ -61,30 +59,6 @@ std::uint64_t now_ns() {
       std::chrono::duration_cast<std::chrono::nanoseconds>(
           std::chrono::steady_clock::now().time_since_epoch())
           .count());
-}
-
-void record_latency(ClientReport& report, std::uint64_t ns) {
-  const int bucket =
-      std::min(kBuckets - 1, static_cast<int>(std::bit_width(ns | 1)) - 1);
-  ++report.latency_ns[bucket];
-  if (ns > report.max_ns) report.max_ns = ns;
-}
-
-/// Percentile (0..1) from a merged log2 histogram, as the bucket's upper
-/// bound in microseconds — a <= bound, honest about bucket resolution.
-double percentile_us(const std::uint64_t (&buckets)[kBuckets], double q) {
-  std::uint64_t total = 0;
-  for (const std::uint64_t b : buckets) total += b;
-  if (total == 0) return 0.0;
-  const auto target = static_cast<std::uint64_t>(q * static_cast<double>(total));
-  std::uint64_t seen = 0;
-  for (int i = 0; i < kBuckets; ++i) {
-    seen += buckets[i];
-    if (seen > target) {
-      return static_cast<double>(std::uint64_t{1} << (i + 1)) / 1000.0;
-    }
-  }
-  return 18446744073709551616.0 / 1000.0;  // 2^64 ns — "off the histogram"
 }
 
 struct Shape {
@@ -130,7 +104,7 @@ ClientReport run_client(const std::string& endpoint, const Shape& shape,
       ++report.errors;
       continue;
     }
-    record_latency(report, now_ns() - t0);
+    report.latency_ns.record(now_ns() - t0);
     ++report.requests;
     report.vectors += s.count;
   }
@@ -173,7 +147,7 @@ ClientReport run_handoff_client(const std::string& endpoint, int n,
       ++report.errors;
       continue;
     }
-    record_latency(report, now_ns() - t0);
+    report.latency_ns.record(now_ns() - t0);
     ++report.requests;
     ++report.vectors;
   }
@@ -181,23 +155,35 @@ ClientReport run_handoff_client(const std::string& endpoint, int n,
   return report;
 }
 
-/// Merges one child's report into a cell (histogram merged separately).
-void merge_report(Cell& cell, const ClientReport& report,
-                  std::uint64_t (&merged)[kBuckets], std::uint64_t& requests,
-                  std::uint64_t& vectors) {
-  requests += report.requests;
-  vectors += report.vectors;
-  cell.errors += report.errors;
-  cell.reconnects += report.reconnects;
-  cell.max_us = std::max(cell.max_us,
-                         static_cast<double>(report.max_ns) / 1000.0);
-  for (int i = 0; i < kBuckets; ++i) merged[i] += report.latency_ns[i];
+void merge_report(ClientReport& into, const ClientReport& report) {
+  into.requests += report.requests;
+  into.vectors += report.vectors;
+  into.errors += report.errors;
+  into.reconnects += report.reconnects;
+  into.latency_ns.merge(report.latency_ns);
 }
 
-/// Forks `clients` children against the daemon and merges their reports.
-/// The parent must be single-threaded when this is called.
-Cell run_cell(const std::string& endpoint, const Shape& shape, int clients,
-              double seconds) {
+/// A cell from merged reports over `elapsed_s`: percentiles are the log2
+/// bucket upper bounds (2^k - 1 ns) of telemetry::Stats, in microseconds.
+Cell make_cell(int clients, const ClientReport& merged, double elapsed_s) {
+  Cell cell;
+  cell.clients = clients;
+  cell.rps = static_cast<double>(merged.requests) / elapsed_s;
+  cell.vps = static_cast<double>(merged.vectors) / elapsed_s;
+  cell.p50_us = merged.latency_ns.percentile(0.50) / 1000.0;
+  cell.p99_us = merged.latency_ns.percentile(0.99) / 1000.0;
+  cell.max_us = static_cast<double>(merged.latency_ns.max) / 1000.0;
+  cell.errors = merged.errors;
+  cell.reconnects = merged.reconnects;
+  return cell;
+}
+
+/// Forks `clients` children that each run `child` and report back, starts
+/// them all at once, runs `driver` (the handoff mode's SIGHUP loop; may be
+/// empty) while they work, and merges their reports.  The parent must be
+/// single-threaded when this is called.
+Cell run_forked_cell(int clients, const std::function<ClientReport()>& child,
+                     const std::function<void()>& driver) {
   std::vector<pid_t> pids;
   std::vector<int> result_fds;
   int start_pipe[2];
@@ -214,7 +200,7 @@ Cell run_cell(const std::string& endpoint, const Shape& shape, int clients,
       }
       ClientReport report;
       try {
-        report = run_client(endpoint, shape, seconds);
+        report = child();
       } catch (...) {
         report.errors = ~std::uint64_t{0};
       }
@@ -229,81 +215,9 @@ Cell run_cell(const std::string& endpoint, const Shape& shape, int clients,
   close(start_pipe[0]);
   const std::uint64_t t0 = now_ns();
   close(start_pipe[1]);  // EOF = the start gun for every child at once
-
-  Cell cell;
-  cell.clients = clients;
-  std::uint64_t merged[kBuckets] = {};
-  std::uint64_t requests = 0, vectors = 0;
-  for (std::size_t c = 0; c < pids.size(); ++c) {
-    ClientReport report;
-    std::size_t got = 0;
-    while (got < sizeof(report)) {
-      const ssize_t r = read(result_fds[c],
-                             reinterpret_cast<char*>(&report) + got,
-                             sizeof(report) - got);
-      if (r <= 0) break;
-      got += static_cast<std::size_t>(r);
-    }
-    close(result_fds[c]);
-    int status = 0;
-    waitpid(pids[c], &status, 0);
-    if (got != sizeof(report)) {
-      ++cell.errors;
-      continue;
-    }
-    merge_report(cell, report, merged, requests, vectors);
-  }
-  const double elapsed = static_cast<double>(now_ns() - t0) / 1e9;
-  cell.rps = static_cast<double>(requests) / elapsed;
-  cell.vps = static_cast<double>(vectors) / elapsed;
-  cell.p50_us = percentile_us(merged, 0.50);
-  cell.p99_us = percentile_us(merged, 0.99);
-  return cell;
-}
-
-/// Handoff-mode cell: forks reconnect-enabled streaming clients, then runs
-/// `driver` (the parent's SIGHUP loop — or nothing, for the steady-state
-/// control) while they stream, and merges the reports.  The restart blip
-/// lives in the p99/max delta between the two cells.
-Cell run_handoff_cell(const std::string& endpoint, int n, int clients,
-                      double seconds, const std::function<void()>& driver) {
-  std::vector<pid_t> pids;
-  std::vector<int> result_fds;
-  int start_pipe[2];
-  if (pipe(start_pipe) != 0) throw std::runtime_error("bench_ipc: pipe");
-  for (int c = 0; c < clients; ++c) {
-    int result_pipe[2];
-    if (pipe(result_pipe) != 0) throw std::runtime_error("bench_ipc: pipe");
-    const pid_t pid = fork();
-    if (pid == 0) {
-      close(start_pipe[1]);
-      close(result_pipe[0]);
-      char go;
-      while (read(start_pipe[0], &go, 1) < 0 && errno == EINTR) {
-      }
-      ClientReport report;
-      try {
-        report = run_handoff_client(endpoint, n, seconds);
-      } catch (...) {
-        report.errors = ~std::uint64_t{0};
-      }
-      ssize_t written = write(result_pipe[1], &report, sizeof(report));
-      (void)written;
-      _exit(0);
-    }
-    close(result_pipe[1]);
-    pids.push_back(pid);
-    result_fds.push_back(result_pipe[0]);
-  }
-  close(start_pipe[0]);
-  const std::uint64_t t0 = now_ns();
-  close(start_pipe[1]);  // start gun
   if (driver) driver();
 
-  Cell cell;
-  cell.clients = clients;
-  std::uint64_t merged[kBuckets] = {};
-  std::uint64_t requests = 0, vectors = 0;
+  ClientReport merged;
   for (std::size_t c = 0; c < pids.size(); ++c) {
     ClientReport report;
     std::size_t got = 0;
@@ -318,17 +232,13 @@ Cell run_handoff_cell(const std::string& endpoint, int n, int clients,
     int status = 0;
     waitpid(pids[c], &status, 0);
     if (got != sizeof(report)) {
-      ++cell.errors;
+      ++merged.errors;
       continue;
     }
-    merge_report(cell, report, merged, requests, vectors);
+    merge_report(merged, report);
   }
-  const double elapsed = static_cast<double>(now_ns() - t0) / 1e9;
-  cell.rps = static_cast<double>(requests) / elapsed;
-  cell.vps = static_cast<double>(vectors) / elapsed;
-  cell.p50_us = percentile_us(merged, 0.50);
-  cell.p99_us = percentile_us(merged, 0.99);
-  return cell;
+  return make_cell(clients, merged,
+                   static_cast<double>(now_ns() - t0) / 1e9);
 }
 
 /// The canonical segment's takeover epoch, or 0 when unreadable — how the
@@ -388,8 +298,10 @@ int run_handoff_bench(const std::string& endpoint, int n, int clients,
     return 1;
   }
 
-  const Cell steady =
-      run_handoff_cell(endpoint, n, clients, duration, nullptr);
+  const auto stream = [&] {
+    return run_handoff_client(endpoint, n, duration);
+  };
+  const Cell steady = run_forked_cell(clients, stream, nullptr);
   print_handoff_cell("steady", steady);
 
   const auto driver = [&] {
@@ -411,8 +323,7 @@ int run_handoff_bench(const std::string& endpoint, int n, int clients,
       }
     }
   };
-  const Cell restart =
-      run_handoff_cell(endpoint, n, clients, duration, driver);
+  const Cell restart = run_forked_cell(clients, stream, driver);
   print_handoff_cell("restart", restart);
   std::printf("restart blip: p99 %+.1f us, max %+.1f us over %d handoffs\n",
               restart.p99_us - steady.p99_us, restart.max_us - steady.max_us,
@@ -478,14 +389,10 @@ Cell run_baseline(wht::Engine& engine, const Shape& shape, double seconds) {
         {shape.n, shape.batch,
          util::random_vector(static_cast<std::uint64_t>(shape.batch) << shape.n, 3)});
   }
-  Cell cell;
-  cell.clients = 0;
-  std::uint64_t merged[kBuckets] = {};
   ClientReport report;
   const std::uint64_t deadline =
       now_ns() + static_cast<std::uint64_t>(seconds * 1e9);
   std::size_t next = 0;
-  std::uint64_t requests = 0, vectors = 0;
   const std::uint64_t t0 = now_ns();
   while (now_ns() < deadline) {
     Buffer& b = buffers[next++ % buffers.size()];
@@ -495,17 +402,11 @@ Cell run_baseline(wht::Engine& engine, const Shape& shape, double seconds) {
     } else {
       engine.execute_many(b.n, b.data.data(), b.count);
     }
-    record_latency(report, now_ns() - r0);
-    ++requests;
-    vectors += b.count;
+    report.latency_ns.record(now_ns() - r0);
+    ++report.requests;
+    report.vectors += b.count;
   }
-  const double elapsed = static_cast<double>(now_ns() - t0) / 1e9;
-  for (int i = 0; i < kBuckets; ++i) merged[i] = report.latency_ns[i];
-  cell.rps = static_cast<double>(requests) / elapsed;
-  cell.vps = static_cast<double>(vectors) / elapsed;
-  cell.p50_us = percentile_us(merged, 0.50);
-  cell.p99_us = percentile_us(merged, 0.99);
-  return cell;
+  return make_cell(0, report, static_cast<double>(now_ns() - t0) / 1e9);
 }
 
 std::vector<int> parse_int_list(const std::string& text) {
@@ -622,7 +523,8 @@ int main(int argc, char** argv) {
   for (const Shape& shape : shapes) {
     std::vector<Cell> cells;
     for (const int c : clients) {
-      Cell cell = run_cell(endpoint, shape, c, seconds);
+      const Cell cell = run_forked_cell(
+          c, [&] { return run_client(endpoint, shape, seconds); }, nullptr);
       std::printf(
           "%-6s clients=%-2d  %9.0f req/s  %9.0f vec/s  p50 %8.1f us  "
           "p99 %8.1f us%s\n",

@@ -35,6 +35,14 @@ std::uint64_t engine_monotonic_ns() {
          static_cast<std::uint64_t>(ts.tv_nsec);
 }
 
+void check_size(int n) {
+  if (n < 1 || n > kMaxLog2Size) {
+    throw std::invalid_argument("wht::Engine: n must be in [1, " +
+                                std::to_string(kMaxLog2Size) + "], got " +
+                                std::to_string(n));
+  }
+}
+
 bool all_finite(const double* x, std::size_t count, std::uint64_t size,
                 std::ptrdiff_t dist) {
   for (std::size_t v = 0; v < count; ++v) {
@@ -108,7 +116,6 @@ Engine::Engine(EngineOptions options) : options_(std::move(options)) {
       throw std::invalid_argument("wht::Engine: unknown candidate backend '" +
                                   name + "'");
     }
-    health_[name];  // breaker cells exist up front; never erased
   }
   if (options_.quarantine_strikes > 0 &&
       !registry.contains(kFallbackBackend)) {
@@ -116,6 +123,16 @@ Engine::Engine(EngineOptions options) : options_(std::move(options)) {
         "wht::Engine: quarantine needs the reference backend '" +
         std::string(kFallbackBackend) + "' in the registry");
   }
+  fallback_ = static_cast<std::size_t>(
+      std::find(candidates_.begin(), candidates_.end(), kFallbackBackend) -
+      candidates_.begin());
+  column_count_ = candidates_.size() + (fallback_ == candidates_.size());
+  columns_ = std::make_unique<Column[]>(column_count_);
+  for (std::size_t c = 0; c < candidates_.size(); ++c) {
+    columns_[c].name = candidates_[c];
+  }
+  columns_[fallback_].name = kFallbackBackend;
+  cells_ = std::make_unique<Cell[]>((kMaxLog2Size + 1) * column_count_);
 }
 
 Engine::~Engine() {
@@ -129,30 +146,19 @@ Engine::~Engine() {
   // (submit() starts it before enqueueing); promises die with the deque.
 }
 
-Engine::Entry& Engine::slot(int n, const std::string& backend) {
-  const std::lock_guard<std::mutex> lock(entries_mutex_);
-  std::unique_ptr<Entry>& cell = entries_[{n, backend}];
-  if (!cell) cell = std::make_unique<Entry>();
-  return *cell;  // map nodes are stable; cells are never erased
-}
-
-Engine::Entry& Engine::ensure_built(Entry& e, int n,
-                                    const std::string& backend) {
-  if (!e.ready.load(std::memory_order_acquire)) {
-    const std::lock_guard<std::mutex> lock(e.build_mutex);
-    if (!e.ready.load(std::memory_order_relaxed)) {
-      build_entry(e, n, backend);  // a throw caches nothing: next touch retries
-      e.ready.store(true, std::memory_order_release);
+Engine::Cell& Engine::built(int n, std::size_t column) {
+  Cell& cell = cells_[static_cast<std::size_t>(n) * column_count_ + column];
+  if (!cell.ready.load(std::memory_order_acquire)) {
+    const std::lock_guard<std::mutex> lock(cell.build_mutex);
+    if (!cell.ready.load(std::memory_order_relaxed)) {
+      build(cell, n, columns_[column].name);  // a throw caches nothing
+      cell.ready.store(true, std::memory_order_release);
     }
   }
-  return e;
+  return cell;
 }
 
-Engine::Entry& Engine::entry(int n, const std::string& backend) {
-  return ensure_built(slot(n, backend), n, backend);
-}
-
-void Engine::build_entry(Entry& e, int n, const std::string& backend) {
+void Engine::build(Cell& cell, int n, const std::string& backend) {
   Planner planner;
   planner.strategy(options_.strategy)
       .backend(backend)
@@ -167,23 +173,28 @@ void Engine::build_entry(Entry& e, int n, const std::string& backend) {
     // Anchor to cycles so "fused" model units and CombinedModel units are
     // comparable across backends: one short measurement per (n, backend),
     // paid at first touch, cached for the Engine's lifetime.
-    e.unit_cost =
+    cell.unit_cost =
         measure_with_backend(transform->backend(), transform->plan(),
                              options_.measure)
             .cycles();
   } else {
-    e.unit_cost = model_unit_cost(transform->backend(), transform->plan());
+    cell.unit_cost = model_unit_cost(transform->backend(), transform->plan());
   }
   if (options_.telemetry) {
-    e.telem_single = &telemetry_.series(n, backend, /*batch=*/false);
-    e.telem_batch = &telemetry_.series(n, backend, /*batch=*/true);
+    cell.telem_single = &telemetry_.series(n, backend, /*batch=*/false);
+    cell.telem_batch = &telemetry_.series(n, backend, /*batch=*/true);
   }
-  e.transform = std::move(transform);
+  cell.transform = std::move(transform);
 }
 
 std::shared_ptr<const Transform> Engine::transform(int n,
                                                    const std::string& backend) {
-  return entry(n, backend).transform;
+  check_size(n);
+  for (std::size_t c = 0; c < column_count_; ++c) {
+    if (columns_[c].name == backend) return built(n, c).transform;
+  }
+  throw std::invalid_argument("wht::Engine: '" + backend +
+                              "' is neither a candidate nor the fallback");
 }
 
 std::size_t Engine::prewarm() {
@@ -200,7 +211,7 @@ std::size_t Engine::prewarm() {
   std::set<std::pair<int, std::string>> shapes;
   for (const Wisdom::Key& key : wisdom.keys()) {
     if (key.cpu != cpu) continue;  // tuned for another host/SIMD level
-    if (key.n < 1 || key.n > 30) continue;
+    if (key.n < 1 || key.n > kMaxLog2Size) continue;
     if (std::find(candidates_.begin(), candidates_.end(), key.backend) ==
         candidates_.end()) {
       continue;
@@ -224,47 +235,35 @@ void Engine::flush_wisdom() {
   WisdomRegistry::global().flush(options_.wisdom_file);
 }
 
-Engine::Choice Engine::choose(int n, std::size_t count) {
+Engine::Route Engine::route(int n, std::size_t count,
+                            std::vector<Decision::Candidate>* ranking) {
+  check_size(n);
   if (count < 1) {
     throw std::invalid_argument("wht::Engine: request count must be >= 1");
   }
-  // One pass under the map lock for every cell, then per-entry fast paths
-  // (a single acquire-load once built).
-  std::vector<Entry*> cells;
-  cells.reserve(candidates_.size());
-  {
-    const std::lock_guard<std::mutex> lock(entries_mutex_);
-    for (const auto& name : candidates_) {
-      std::unique_ptr<Entry>& cell = entries_[{n, name}];
-      if (!cell) cell = std::make_unique<Entry>();
-      cells.push_back(cell.get());
-    }
-  }
-  Choice choice;
-  choice.decision.cost = std::numeric_limits<double>::infinity();
+  Route best;
   std::exception_ptr first_error;
   // Two passes at most: first honouring quarantine, then — only if the
   // breaker has sidelined every single candidate — ignoring it, because a
   // degraded answer beats refusing to serve.
   for (const bool honour_quarantine : {true, false}) {
-    for (std::size_t i = 0; i < candidates_.size(); ++i) {
-      const std::string& name = candidates_[i];
-      if (honour_quarantine && quarantine_blocked(name)) continue;
+    for (std::size_t c = 0; c < candidates_.size(); ++c) {
+      if (honour_quarantine && quarantine_blocked(columns_[c])) continue;
       try {
-        Entry& e = ensure_built(*cells[i], n, name);
+        Cell& cell = built(n, c);
         // Per-vector price for this shape: the first-touch anchor (scaled
         // by batch_factor for the batch path), re-anchored toward the live
         // decayed mean of the *same shape's* series once it holds enough
         // samples — so a backend whose measured-at-first-touch cost has
         // drifted is repriced from what it actually costs now.
-        double per_vector = e.unit_cost;
+        double per_vector = cell.unit_cost;
         if (count > 1) {
-          per_vector *= e.transform->backend().batch_factor(
-              e.transform->plan(), count, options_.threads);
+          per_vector *= cell.transform->backend().batch_factor(
+              cell.transform->plan(), count, options_.threads);
         }
         if (options_.reanchor_min_samples > 0) {
           telemetry::Accumulator* live =
-              count > 1 ? e.telem_batch : e.telem_single;
+              count > 1 ? cell.telem_batch : cell.telem_single;
           if (live != nullptr &&
               live->count() >= options_.reanchor_min_samples) {
             const double mean = live->mean();
@@ -275,92 +274,95 @@ Engine::Choice Engine::choose(int n, std::size_t count) {
           }
         }
         const double cost = per_vector * static_cast<double>(count);
-        choice.decision.candidates.push_back({name, cost});
-        if (cost < choice.decision.cost) {
-          choice.decision.cost = cost;
-          choice.decision.backend = name;
-          choice.winner = &e;
-        }
+        if (ranking != nullptr) ranking->push_back({candidates_[c], cost});
+        if (best.cell == nullptr || cost < best.cost) best = {c, &cell, cost};
       } catch (...) {
         // A broken candidate must not take the whole size down while others
         // can serve; it is absent from this ranking and retried next touch.
         if (!first_error) first_error = std::current_exception();
       }
     }
-    if (!choice.decision.candidates.empty()) break;
+    if (best.cell != nullptr) break;
   }
-  if (choice.decision.candidates.empty()) {
+  if (best.cell == nullptr) {
     if (first_error) std::rethrow_exception(first_error);
     throw std::logic_error("wht::Engine: no candidate backends");
   }
-  std::sort(choice.decision.candidates.begin(), choice.decision.candidates.end(),
-            [](const Decision::Candidate& a, const Decision::Candidate& b) {
-              return a.cost < b.cost;
-            });
-  return choice;
+  return best;
 }
 
 Engine::Decision Engine::arbitrate(int n, std::size_t count) {
-  return choose(n, count).decision;
+  Decision decision;
+  const Route best = route(n, count, &decision.candidates);
+  decision.backend = candidates_[best.column];
+  decision.cost = best.cost;
+  std::sort(decision.candidates.begin(), decision.candidates.end(),
+            [](const Decision::Candidate& a, const Decision::Candidate& b) {
+              return a.cost < b.cost;
+            });
+  return decision;
 }
 
-bool Engine::quarantine_blocked(const std::string& backend) {
-  if (!health_armed()) return false;
-  const std::lock_guard<std::mutex> lock(health_mutex_);
-  const auto it = health_.find(backend);
-  if (it == health_.end() || !it->second.quarantined) return false;
+bool Engine::quarantine_blocked(const Column& column) {
+  const std::uint64_t until = column.until_ns.load(std::memory_order_acquire);
   // Probation elapsed: the backend stays marked quarantined but the arbiter
   // lets this request through as a live-traffic probe.  Success clears the
   // breaker; failure re-trips it immediately (the trip left strikes at the
   // threshold, so one probe failure is enough — no fresh streak required).
-  return engine_monotonic_ns() < it->second.until_ns;
+  return until != 0 && engine_monotonic_ns() < until;
 }
 
-void Engine::on_backend_failure(const std::string& backend) {
+void Engine::trip(Column& column) {
+  column.until_ns.store(
+      engine_monotonic_ns() + options_.probation_ms * 1000000ULL,
+      std::memory_order_release);
+  column.trips += 1;
+}
+
+void Engine::on_backend_failure(Column& column) {
   const std::lock_guard<std::mutex> lock(health_mutex_);
-  Health& h = health_[backend];
-  h.strikes += 1;
-  if (h.strikes >= options_.quarantine_strikes) {
-    h.quarantined = true;
-    h.until_ns = engine_monotonic_ns() + options_.probation_ms * 1000000ULL;
-    h.trips += 1;
+  const int strikes = column.strikes.load(std::memory_order_relaxed) + 1;
+  column.strikes.store(strikes, std::memory_order_relaxed);
+  if (strikes >= options_.quarantine_strikes) trip(column);
+}
+
+void Engine::on_backend_success(Column& column) {
+  // The healthy steady state: nothing to clear, no lock.
+  if (column.strikes.load(std::memory_order_relaxed) == 0 &&
+      column.until_ns.load(std::memory_order_relaxed) == 0) {
+    return;
   }
-}
-
-void Engine::on_backend_success(const std::string& backend) {
   const std::lock_guard<std::mutex> lock(health_mutex_);
-  Health& h = health_[backend];
-  h.strikes = 0;
-  h.quarantined = false;
+  column.strikes.store(0, std::memory_order_relaxed);
+  column.until_ns.store(0, std::memory_order_release);
 }
 
-void Engine::maybe_demote_for_drift(const std::string& backend, Entry& e) {
+void Engine::maybe_demote_for_drift(Column& column, Cell& cell) {
   // The comparison needs both sides in cycles: a measured anchor and enough
   // live samples for the p99 to mean something.
   if (!options_.measure_costs || options_.reanchor_min_samples == 0) return;
-  if (e.telem_single == nullptr || e.unit_cost <= 0.0) return;
-  if (e.telem_single->count() < options_.reanchor_min_samples) return;
-  const double p99 = e.telem_single->percentile(0.99);
-  if (p99 <= options_.drift_demote_factor * e.unit_cost) return;
+  if (cell.telem_single == nullptr || cell.unit_cost <= 0.0) return;
+  if (cell.telem_single->count() < options_.reanchor_min_samples) return;
+  const double p99 = cell.telem_single->percentile(0.99);
+  if (p99 <= options_.drift_demote_factor * cell.unit_cost) return;
   {
     const std::lock_guard<std::mutex> lock(health_mutex_);
-    Health& h = health_[backend];
-    if (h.quarantined) return;  // already demoted; probation owns re-entry
-    h.quarantined = true;
-    h.until_ns = engine_monotonic_ns() + options_.probation_ms * 1000000ULL;
-    h.trips += 1;
+    // Already demoted: probation owns re-entry.
+    if (column.until_ns.load(std::memory_order_relaxed) != 0) return;
+    trip(column);
   }
   // Fresh epoch for the series: the post-probation probe is judged on new
   // observations, not on the degraded history that tripped this demotion.
-  e.telem_single->reset();
+  cell.telem_single->reset();
 }
 
-void Engine::run_guarded(Choice& choice, int n, double* x, std::size_t count,
-                         std::ptrdiff_t dist, ExecContext* ctx) {
+std::size_t Engine::run_guarded(const Route& route, int n, double* x,
+                                std::size_t count, std::ptrdiff_t dist,
+                                ExecContext* ctx) {
   const std::uint64_t size = std::uint64_t{1} << n;
-  const std::string backend = choice.decision.backend;
+  Column& column = columns_[route.column];
   const bool resilient =
-      options_.quarantine_strikes > 0 && backend != kFallbackBackend;
+      options_.quarantine_strikes > 0 && route.column != fallback_;
   // Execution is in place, so a failed or corrupt run has already destroyed
   // the caller's input by the time the failure is visible.  The snapshot
   // is a local buffer on purpose: ctx staging may hold this very batch
@@ -388,25 +390,18 @@ void Engine::run_guarded(Choice& choice, int n, double* x, std::size_t count,
     }
   };
   telemetry::Accumulator* telem =
-      options_.telemetry
-          ? (count > 1 ? choice.winner->telem_batch
-                       : choice.winner->telem_single)
-          : nullptr;
+      count > 1 ? route.cell->telem_batch : route.cell->telem_single;
   std::uint64_t elapsed = 0;
-  bool timed = false;
   bool failed = false;
   try {
-    if (fault::enabled() && fault::point("engine.exec." + backend)) {
-      throw std::runtime_error("engine: backend '" + backend +
+    if (fault::enabled() && fault::point("engine.exec." + column.name)) {
+      throw std::runtime_error("engine: backend '" + column.name +
                                "' failed [fault injected]");
     }
     const std::uint64_t begin = telem ? telemetry::now_ticks() : 0;
-    run(*choice.winner->transform);
-    if (telem) {
-      elapsed = telemetry::now_ticks() - begin;
-      timed = true;
-    }
-    if (fault::enabled() && fault::point("engine.corrupt." + backend)) {
+    run(*route.cell->transform);
+    if (telem) elapsed = telemetry::now_ticks() - begin;
+    if (fault::enabled() && fault::point("engine.corrupt." + column.name)) {
       x[0] = std::numeric_limits<double>::quiet_NaN();
     }
     if (resilient && options_.verify_finite &&
@@ -426,51 +421,54 @@ void Engine::run_guarded(Choice& choice, int n, double* x, std::size_t count,
     // Success bookkeeping first: if this request was a post-probation
     // probe, it clears the quarantine *before* the drift check below can
     // legitimately re-trip it on fresh evidence.
-    if (health_armed() && backend != kFallbackBackend) {
-      on_backend_success(backend);
+    if (health_armed() && route.column != fallback_) {
+      on_backend_success(column);
     }
-    if (telem != nullptr && timed) {
+    if (telem != nullptr) {
       telem->record(elapsed / count);
       if (count == 1 && options_.drift_demote_factor > 0.0) {
-        maybe_demote_for_drift(backend, *choice.winner);
+        maybe_demote_for_drift(column, *route.cell);
       }
     }
-    return;
+    return route.column;
   }
-  on_backend_failure(backend);
+  on_backend_failure(column);
   for (std::size_t v = 0; v < count; ++v) {
     std::memcpy(x + static_cast<std::ptrdiff_t>(v) * dist,
                 snapshot.data() + v * size, size * sizeof(double));
   }
   // The reference backend's own failures propagate: there is nothing left
   // to fall back to, and masking them would hide real breakage.
-  run(*entry(n, kFallbackBackend).transform);
-  {
-    const std::lock_guard<std::mutex> lock(stats_mutex_);
-    stats_.failures += 1;
-    stats_.fallbacks += count;
-  }
-  choice.decision.backend = kFallbackBackend;
+  run(*built(n, fallback_).transform);
+  counters_.failures.fetch_add(1, std::memory_order_relaxed);
+  counters_.fallbacks.fetch_add(count, std::memory_order_relaxed);
+  return fallback_;
 }
 
-void Engine::record(const std::string& backend, std::uint64_t vectors,
-                    bool batch, bool from_submit) {
-  const std::lock_guard<std::mutex> lock(stats_mutex_);
-  stats_.vectors += vectors;
+void Engine::record(std::size_t column, std::uint64_t vectors, bool batch,
+                    bool from_submit) {
+  constexpr auto relaxed = std::memory_order_relaxed;
+  counters_.vectors.fetch_add(vectors, relaxed);
   if (batch) {
-    stats_.batches += 1;
-    if (from_submit && vectors >= 2) stats_.coalesced += vectors;
+    counters_.batches.fetch_add(1, relaxed);
+    if (from_submit && vectors >= 2) {
+      counters_.coalesced.fetch_add(vectors, relaxed);
+    }
   } else if (!from_submit) {
-    stats_.singles += 1;
+    counters_.singles.fetch_add(1, relaxed);
   }
-  stats_.per_backend[backend] += vectors;
+  columns_[column].vectors.fetch_add(vectors, relaxed);
+}
+
+void Engine::serve(int n, double* x, std::size_t count, std::ptrdiff_t dist,
+                   ExecContext* ctx) {
+  if (count == 0) return;
+  const Route best = route(n, count, nullptr);
+  record(run_guarded(best, n, x, count, dist, ctx), count, count > 1, false);
 }
 
 void Engine::execute(int n, double* x) {
-  Choice choice = choose(n, 1);
-  run_guarded(choice, n, x, 1,
-              static_cast<std::ptrdiff_t>(std::uint64_t{1} << n), nullptr);
-  record(choice.decision.backend, 1, false, false);
+  serve(n, x, 1, static_cast<std::ptrdiff_t>(std::uint64_t{1} << n), nullptr);
 }
 
 void Engine::execute_many(int n, double* x, std::size_t count) {
@@ -479,25 +477,16 @@ void Engine::execute_many(int n, double* x, std::size_t count) {
 
 void Engine::execute_many(int n, double* x, std::size_t count,
                           std::ptrdiff_t dist) {
-  if (count == 0) return;
-  Choice choice = choose(n, count);
-  run_guarded(choice, n, x, count, dist, nullptr);
-  record(choice.decision.backend, count, count > 1, false);
+  serve(n, x, count, dist, nullptr);
 }
 
 void Engine::execute(int n, double* x, ExecContext& ctx) {
-  Choice choice = choose(n, 1);
-  run_guarded(choice, n, x, 1,
-              static_cast<std::ptrdiff_t>(std::uint64_t{1} << n), &ctx);
-  record(choice.decision.backend, 1, false, false);
+  serve(n, x, 1, static_cast<std::ptrdiff_t>(std::uint64_t{1} << n), &ctx);
 }
 
 void Engine::execute_many(int n, double* x, std::size_t count,
                           std::ptrdiff_t dist, ExecContext& ctx) {
-  if (count == 0) return;
-  Choice choice = choose(n, count);
-  run_guarded(choice, n, x, count, dist, &ctx);
-  record(choice.decision.backend, count, count > 1, false);
+  serve(n, x, count, dist, &ctx);
 }
 
 void Engine::ensure_dispatcher() {
@@ -521,10 +510,7 @@ std::future<void> Engine::submit(int n, double* x) {
     ensure_dispatcher();
     queue_.push_back(std::move(pending));
   }
-  {
-    const std::lock_guard<std::mutex> lock(stats_mutex_);
-    stats_.submitted += 1;
-  }
+  counters_.submitted.fetch_add(1, std::memory_order_relaxed);
   queue_cv_.notify_all();
   return future;
 }
@@ -589,15 +575,14 @@ void Engine::serve_group(std::vector<Pending> group) {
   try {
     // Price the shape that will actually run: a group too large to stage
     // serves as independent single-vector requests.
-    const Choice choice = choose(n, staged ? count : 1);
+    const Route best = route(n, staged ? count : 1, nullptr);
     if (!staged) {
       for (Pending& p : group) {
-        // Per-vector copy: run_guarded may reroute ONE vector to the
-        // fallback without disturbing the winner the rest still use.
-        Choice per = choice;
-        run_guarded(per, n, p.x, 1, static_cast<std::ptrdiff_t>(size),
-                    &dispatcher_ctx_);
-        record(per.decision.backend, 1, false, true);
+        // run_guarded may reroute ONE vector to the fallback without
+        // disturbing the winner the rest still use.
+        record(run_guarded(best, n, p.x, 1, static_cast<std::ptrdiff_t>(size),
+                           &dispatcher_ctx_),
+               1, false, true);
       }
     } else {
       // Stage the scattered request buffers contiguously, run ONE batched
@@ -608,13 +593,13 @@ void Engine::serve_group(std::vector<Pending> group) {
       for (std::size_t v = 0; v < count; ++v) {
         std::memcpy(stage + v * size, group[v].x, size * sizeof(double));
       }
-      Choice batch = choice;
-      run_guarded(batch, n, stage, count, static_cast<std::ptrdiff_t>(size),
-                  &dispatcher_ctx_);
+      const std::size_t served =
+          run_guarded(best, n, stage, count,
+                      static_cast<std::ptrdiff_t>(size), &dispatcher_ctx_);
       for (std::size_t v = 0; v < count; ++v) {
         std::memcpy(group[v].x, stage + v * size, size * sizeof(double));
       }
-      record(batch.decision.backend, count, staged, true);
+      record(served, count, staged, true);
     }
     for (Pending& p : group) p.promise.set_value();
   } catch (...) {
@@ -628,16 +613,27 @@ telemetry::Snapshot Engine::telemetry_snapshot() const {
 }
 
 Engine::Stats Engine::stats() const {
+  constexpr auto relaxed = std::memory_order_relaxed;
   Stats snapshot;
-  {
-    const std::lock_guard<std::mutex> lock(stats_mutex_);
-    snapshot = stats_;
-  }
+  snapshot.vectors = counters_.vectors.load(relaxed);
+  snapshot.singles = counters_.singles.load(relaxed);
+  snapshot.submitted = counters_.submitted.load(relaxed);
+  snapshot.batches = counters_.batches.load(relaxed);
+  snapshot.coalesced = counters_.coalesced.load(relaxed);
+  snapshot.failures = counters_.failures.load(relaxed);
+  snapshot.fallbacks = counters_.fallbacks.load(relaxed);
   const std::lock_guard<std::mutex> lock(health_mutex_);
-  for (const auto& [name, h] : health_) {
-    if (h.trips > 0) snapshot.quarantine_trips[name] = h.trips;
-    if (h.quarantined) snapshot.quarantined.push_back(name);
+  for (std::size_t c = 0; c < column_count_; ++c) {
+    const Column& column = columns_[c];
+    if (const std::uint64_t v = column.vectors.load(relaxed); v > 0) {
+      snapshot.per_backend[column.name] += v;
+    }
+    if (column.trips > 0) snapshot.quarantine_trips[column.name] = column.trips;
+    if (column.until_ns.load(relaxed) != 0) {
+      snapshot.quarantined.push_back(column.name);
+    }
   }
+  std::sort(snapshot.quarantined.begin(), snapshot.quarantined.end());
   return snapshot;
 }
 

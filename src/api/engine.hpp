@@ -14,7 +14,10 @@
 //   * Shared plan cache — one immutable Transform per (n, backend), planned
 //     on first touch through the wht::Planner (wisdom-backed when
 //     EngineOptions::wisdom_file is set: a tuned plan is paid for once per
-//     machine, then every Engine in every process reuses it).
+//     machine, then every Engine in every process reuses it).  The cache is
+//     a table fixed at construction — sizes 1..kMaxLog2Size by the
+//     candidates plus the "generated" fallback — so a warmed synchronous
+//     request is routed by index with no lock and no allocation.
 //   * Serve-time backend arbitration — each registered candidate backend is
 //     priced for the request shape (single vector vs batch, size, thread
 //     budget) from its own cost_model() (host-calibrated where the backend
@@ -46,10 +49,10 @@
 #include <mutex>
 #include <string>
 #include <thread>
-#include <utility>
 #include <vector>
 
 #include "api/exec_context.hpp"
+#include "api/planner.hpp"
 #include "api/transform.hpp"
 #include "perf/measure.hpp"
 #include "telemetry/registry.hpp"
@@ -178,17 +181,23 @@ class Engine {
 
   /// Prices every candidate backend for a request of `count` vectors of
   /// 2^n doubles and returns the ranking.  First touch of an (n, backend)
-  /// pair plans (and, by default, anchor-measures) it; later calls are one
-  /// short map lookup plus arithmetic on the cached per-unit costs — no
-  /// re-planning, no re-measurement.  A candidate whose first-touch build
-  /// throws is skipped for this decision and retried on the next;
-  /// arbitrate itself throws only when every candidate fails.
+  /// pair plans (and, by default, anchor-measures) it; later calls index the
+  /// Engine's fixed (n, backend) cell table and do arithmetic on the cached
+  /// per-unit costs — no lock, no re-planning, no re-measurement.  The serve
+  /// paths price the same way but keep only the winner; this call alone
+  /// builds the sorted ranking.  A candidate whose first-touch build throws
+  /// is skipped for this decision and retried on the next; arbitrate itself
+  /// throws only when every candidate fails (std::invalid_argument for n
+  /// outside [1, kMaxLog2Size]).
   Decision arbitrate(int n, std::size_t count = 1);
 
   /// The shared immutable Transform for (n, backend); planned on first
-  /// touch, cached for the Engine's lifetime.  The shared_ptr keeps it
-  /// alive independently of the Engine — hold it to skip even the cache
-  /// lookup on a hot serve path.
+  /// touch, cached for the Engine's lifetime.  `backend` must be one of
+  /// candidates() or the quarantine fallback "generated", and n must lie in
+  /// [1, kMaxLog2Size]; anything else throws std::invalid_argument (the
+  /// Engine only holds cells for the backends it can route to).  The
+  /// shared_ptr keeps the Transform alive independently of the Engine —
+  /// hold it to skip even the cell lookup on a hot serve path.
   std::shared_ptr<const Transform> transform(int n, const std::string& backend);
 
   /// Rebuilds the shared Transform cache for every (n, backend) shape the
@@ -261,22 +270,49 @@ class Engine {
   const std::vector<std::string>& candidates() const { return candidates_; }
 
  private:
-  struct Entry {
-    /// Lock-free ready flag: once true, transform/unit_cost are immutable
-    /// and readable without the build mutex (release/acquire pairing).
-    /// Build failures cache nothing — the next touch retries, so one
-    /// transient error (ENOSPC during a wisdom write, an OOM during an
-    /// anchor measurement) never poisons a size for the Engine's lifetime.
+  /// One (n, backend) cell of the fixed table.  Built on first touch under
+  /// its own mutex; once `ready` is true the other fields are immutable and
+  /// read without a lock (release/acquire pairing).  Build failures cache
+  /// nothing — the next touch retries, so one transient error (ENOSPC during
+  /// a wisdom write, an OOM during an anchor measurement) never poisons a
+  /// size for the Engine's lifetime.
+  struct Cell {
     std::atomic<bool> ready{false};
     std::mutex build_mutex;
     std::shared_ptr<const Transform> transform;
     double unit_cost = 0.0;  ///< per-vector serve cost (cycles or model units)
     /// Live telemetry series for this (n, backend), resolved once at build
-    /// so the hot recording path never touches the registry lock (series
+    /// so the recording path never touches the registry lock (series
     /// addresses are stable for the Engine's lifetime).  Null when
     /// telemetry is off.
     telemetry::Accumulator* telem_single = nullptr;
     telemetry::Accumulator* telem_batch = nullptr;
+  };
+
+  /// One backend's column: its circuit breaker and its vector count.
+  /// `until_ns` is 0 while the backend is healthy and its re-probe time
+  /// while quarantined, so routing reads one atomic and never locks.
+  /// health_mutex_ serialises the writers (a strike, a trip, a clear);
+  /// `strikes` is atomic only so a success can see "nothing to clear"
+  /// without taking it.
+  struct alignas(64) Column {
+    std::string name;
+    std::atomic<std::uint64_t> until_ns{0};
+    std::atomic<int> strikes{0};  ///< consecutive serving-time failures
+    std::uint64_t trips = 0;      ///< times tripped; guarded by health_mutex_
+    std::atomic<std::uint64_t> vectors{0};  ///< Stats::per_backend
+  };
+
+  /// Stats without the per-backend maps: independent monotonic tallies, so
+  /// relaxed increments suffice.
+  struct alignas(64) Counters {
+    std::atomic<std::uint64_t> vectors{0};
+    std::atomic<std::uint64_t> singles{0};
+    std::atomic<std::uint64_t> submitted{0};
+    std::atomic<std::uint64_t> batches{0};
+    std::atomic<std::uint64_t> coalesced{0};
+    std::atomic<std::uint64_t> failures{0};
+    std::atomic<std::uint64_t> fallbacks{0};
   };
 
   struct Pending {
@@ -285,39 +321,32 @@ class Engine {
     std::promise<void> promise;
   };
 
-  /// The map cell for (n, backend) — one short map-lock, no building.
-  Entry& slot(int n, const std::string& backend);
-  /// The built entry; builds under the entry's own mutex on first touch
-  /// (throwing what planning threw, caching nothing on failure) and is a
-  /// single atomic load afterwards.
-  Entry& entry(int n, const std::string& backend);
-  Entry& ensure_built(Entry& e, int n, const std::string& backend);
-  void build_entry(Entry& e, int n, const std::string& backend);
+  /// The built cell for (n, column): builds under the cell's own mutex on
+  /// first touch (throwing what planning threw) and is a single atomic load
+  /// afterwards.
+  Cell& built(int n, std::size_t column);
+  void build(Cell& cell, int n, const std::string& backend);
 
-  /// arbitrate() plus the winning entry — the serve paths use this so the
-  /// request is priced and routed with ONE pass over the cells (no second
-  /// locked map lookup on the hot path).
-  struct Choice {
-    Decision decision;
-    Entry* winner = nullptr;
+  /// Where one request runs: the cheapest routable candidate for its shape.
+  struct Route {
+    std::size_t column = 0;
+    Cell* cell = nullptr;
+    double cost = 0.0;  ///< predicted cost of the whole request
   };
-  Choice choose(int n, std::size_t count);
+  /// Prices every candidate (skipping quarantined ones unless all are) and
+  /// returns the cheapest.  `ranking`, when given, receives every priced
+  /// candidate in column order — arbitrate() sorts it; the serve paths pass
+  /// null and allocate nothing.
+  Route route(int n, std::size_t count,
+              std::vector<Decision::Candidate>* ranking);
 
-  /// Circuit-breaker bookkeeping per candidate backend.  Entries are
-  /// created in the constructor and never erased; all fields are guarded by
-  /// health_mutex_.
-  struct Health {
-    int strikes = 0;          ///< consecutive serving-time failures
-    bool quarantined = false;
-    std::uint64_t until_ns = 0;  ///< monotonic re-probe time
-    std::uint64_t trips = 0;     ///< times quarantine engaged
-  };
-
-  /// True while `backend` is quarantined and its probation has not elapsed
-  /// (after probation the arbiter lets live traffic re-probe it).
-  bool quarantine_blocked(const std::string& backend);
-  void on_backend_failure(const std::string& backend);
-  void on_backend_success(const std::string& backend);
+  /// True while the backend is quarantined and its probation has not
+  /// elapsed (after probation the arbiter lets live traffic re-probe it).
+  static bool quarantine_blocked(const Column& column);
+  void on_backend_failure(Column& column);
+  void on_backend_success(Column& column);
+  /// Engages the breaker for one probation period; health_mutex_ held.
+  void trip(Column& column);
   /// True when *any* breaker can engage — consecutive-failure quarantine or
   /// telemetry drift demotion — so success/probe bookkeeping runs.
   bool health_armed() const {
@@ -328,18 +357,23 @@ class Engine {
   /// enough samples, a live p99 beyond drift_demote_factor x the anchor
   /// quarantines the backend for one probation and resets the series (the
   /// re-probe prices from the anchor, not the degraded history).
-  void maybe_demote_for_drift(const std::string& backend, Entry& e);
+  void maybe_demote_for_drift(Column& column, Cell& cell);
 
-  /// Runs the chosen transform; with the breaker armed, absorbs a backend
+  /// Runs the routed transform; with the breaker armed, absorbs a backend
   /// failure (exception, injected fault, or non-finite output from a finite
   /// input when verify_finite) by striking the backend, restoring the input
-  /// from a snapshot, and re-running on the reference backend.  Updates
-  /// choice.decision.backend to the backend that actually served.
-  void run_guarded(Choice& choice, int n, double* x, std::size_t count,
-                   std::ptrdiff_t dist, ExecContext* ctx);
+  /// from a snapshot, and re-running on the reference backend.  Returns the
+  /// column that actually served.
+  std::size_t run_guarded(const Route& route, int n, double* x,
+                          std::size_t count, std::ptrdiff_t dist,
+                          ExecContext* ctx);
 
-  void record(const std::string& backend, std::uint64_t vectors,
-              bool batch, bool from_submit);
+  /// The synchronous serve path behind every execute/execute_many overload.
+  void serve(int n, double* x, std::size_t count, std::ptrdiff_t dist,
+             ExecContext* ctx);
+
+  void record(std::size_t column, std::uint64_t vectors, bool batch,
+              bool from_submit);
 
   void dispatcher_main();
   void serve_group(std::vector<Pending> group);
@@ -349,8 +383,18 @@ class Engine {
   std::vector<std::string> candidates_;
   telemetry::Registry telemetry_;
 
-  std::mutex entries_mutex_;  ///< guards the map structure, not the builds
-  std::map<std::pair<int, std::string>, std::unique_ptr<Entry>> entries_;
+  /// The table, fixed at construction: columns are the candidates, then the
+  /// quarantine fallback "generated" unless it is already a candidate (it
+  /// serves fallbacks but is never arbitrated); rows are n = 0 ..
+  /// kMaxLog2Size (row 0 unused).  Cells never move, so their addresses
+  /// are the routing state.
+  std::size_t column_count_ = 0;
+  std::size_t fallback_ = 0;  ///< column of "generated"
+  std::unique_ptr<Column[]> columns_;
+  std::unique_ptr<Cell[]> cells_;
+
+  Counters counters_;
+  mutable std::mutex health_mutex_;
 
   std::mutex queue_mutex_;
   std::condition_variable queue_cv_;
@@ -359,12 +403,6 @@ class Engine {
   bool dispatcher_started_ = false;
   std::thread dispatcher_;
   ExecContext dispatcher_ctx_;  ///< staging + scratch for coalesced batches
-
-  mutable std::mutex health_mutex_;
-  std::map<std::string, Health> health_;
-
-  mutable std::mutex stats_mutex_;
-  Stats stats_;
 };
 
 /// One-line human-readable rendering of a stats snapshot — the export used

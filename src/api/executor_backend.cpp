@@ -30,22 +30,19 @@ double fanout_factor(std::size_t count, int threads) {
   return 1.0 / static_cast<double>(workers);
 }
 
-/// Sequential interpreter over a fixed codelet table.
+/// Sequential interpreter over the build-time generated codelets.
 class SequentialBackend final : public ExecutorBackend {
  public:
-  SequentialBackend(std::string name, core::CodeletBackend codelets)
-      : name_(std::move(name)), codelets_(codelets) {}
-
   const std::string& name() const override { return name_; }
 
   void run(const core::Plan& plan, double* x, std::ptrdiff_t stride,
            ExecContext& /*ctx*/) const override {
-    core::execute_node(plan.root(), x, stride, core::codelet_table(codelets_));
+    core::execute_node(plan.root(), x, stride,
+                       core::codelet_table(core::CodeletBackend::kGenerated));
   }
 
  private:
-  std::string name_;
-  core::CodeletBackend codelets_;
+  std::string name_ = "generated";
 };
 
 /// Op-counting interpreter; numerically identical to the sequential one.
@@ -260,12 +257,7 @@ struct BackendRegistry::Impl {
 
 BackendRegistry::BackendRegistry() : impl_(std::make_shared<Impl>()) {
   impl_->factories["generated"] = [](const BackendOptions&) {
-    return std::make_unique<SequentialBackend>("generated",
-                                               core::CodeletBackend::kGenerated);
-  };
-  impl_->factories["template"] = [](const BackendOptions&) {
-    return std::make_unique<SequentialBackend>("template",
-                                               core::CodeletBackend::kTemplate);
+    return std::make_unique<SequentialBackend>();
   };
   impl_->factories["instrumented"] = [](const BackendOptions&) {
     return std::make_unique<InstrumentedBackend>();

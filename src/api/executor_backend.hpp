@@ -20,7 +20,6 @@
 //
 // Built-in keys (always registered):
 //   "generated"     sequential interpreter, build-time generated codelets
-//   "template"      sequential interpreter, compile-time template codelets
 //   "instrumented"  op-counting interpreter; tallies land in the ExecContext
 //   "parallel"      fork-join executor honouring BackendOptions::threads
 //   "simd"          vectorized tree walk + batch-interleaved run_many with

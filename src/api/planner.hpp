@@ -44,6 +44,9 @@
 
 namespace whtlab::api {
 
+/// Largest transform the planner will build: 2^26 doubles = 512 MiB.
+inline constexpr int kMaxLog2Size = 26;
+
 class Planner {
  public:
   Planner() = default;
@@ -51,8 +54,8 @@ class Planner {
   /// Planning strategy; default kEstimate (cheap and measurement-free).
   Planner& strategy(Strategy s);
 
-  /// Executor backend by registry name ("generated", "template",
-  /// "instrumented", "parallel", or anything registered later).  Unset:
+  /// Executor backend by registry name ("generated", "instrumented",
+  /// "parallel", "simd", "fused", or anything registered later).  Unset:
   /// "generated", or "parallel" when threads() > 1.
   Planner& backend(std::string name);
 
@@ -60,7 +63,7 @@ class Planner {
   /// default backend to "parallel".
   Planner& threads(int count);
 
-  /// Codelet flavour used by the sequential/parallel backends.
+  /// Codelet flavour used by the "parallel" backend.
   Planner& codelets(core::CodeletBackend backend);
 
   /// Largest unrolled leaf the searches may use (1..core::kMaxUnrolled).

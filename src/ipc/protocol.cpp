@@ -34,6 +34,55 @@ const char* to_string(Lifecycle lifecycle) {
   return "unknown";
 }
 
+namespace {
+
+/// The one list of daemon counters: name, shared cell, snapshot field.
+struct StatsField {
+  const char* name;
+  std::atomic<std::uint64_t> SharedStats::*shared;
+  std::uint64_t DaemonStats::*plain;
+};
+
+constexpr StatsField kStatsFields[] = {
+    {"requests", &SharedStats::requests, &DaemonStats::requests},
+    {"vectors", &SharedStats::vectors, &DaemonStats::vectors},
+    {"throttled", &SharedStats::throttled, &DaemonStats::throttled},
+    {"bad_request", &SharedStats::bad_request, &DaemonStats::bad_request},
+    {"exec_errors", &SharedStats::exec_errors, &DaemonStats::exec_errors},
+    {"reclaimed", &SharedStats::reclaimed, &DaemonStats::reclaimed},
+    {"dropped", &SharedStats::dropped, &DaemonStats::dropped},
+    {"protocol_errors", &SharedStats::protocol_errors,
+     &DaemonStats::protocol_errors},
+    {"evictions", &SharedStats::evictions, &DaemonStats::evictions},
+    {"shed_expired", &SharedStats::shed_expired, &DaemonStats::shed_expired},
+    {"credit_stalls", &SharedStats::credit_stalls,
+     &DaemonStats::credit_stalls},
+    {"drained", &SharedStats::drained, &DaemonStats::drained},
+    {"drain_aborted", &SharedStats::drain_aborted,
+     &DaemonStats::drain_aborted},
+    {"drain_refused", &SharedStats::drain_refused,
+     &DaemonStats::drain_refused},
+};
+
+}  // namespace
+
+DaemonStats load_stats(const SharedStats& shared) {
+  DaemonStats out;
+  for (const StatsField& field : kStatsFields) {
+    out.*field.plain = (shared.*field.shared).load(std::memory_order_relaxed);
+  }
+  return out;
+}
+
+std::string to_string(const DaemonStats& stats) {
+  std::string out;
+  for (const StatsField& field : kStatsFields) {
+    if (!out.empty()) out += ' ';
+    out += std::string(field.name) + '=' + std::to_string(stats.*field.plain);
+  }
+  return out;
+}
+
 bool stats_read(const StatsPage& shared, StatsPage& out, int retries) {
   for (int attempt = 0; attempt < retries; ++attempt) {
     const std::uint64_t before =

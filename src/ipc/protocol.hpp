@@ -177,6 +177,33 @@ struct SharedStats {
   std::atomic<std::uint64_t> drain_refused;  ///< requests answered kDraining
 };
 
+/// Plain-value snapshot of SharedStats — what Daemon::stats() and
+/// Client::stats() return (field meanings as above).
+struct DaemonStats {
+  std::uint64_t requests = 0;
+  std::uint64_t vectors = 0;
+  std::uint64_t throttled = 0;
+  std::uint64_t bad_request = 0;
+  std::uint64_t exec_errors = 0;
+  std::uint64_t reclaimed = 0;
+  std::uint64_t dropped = 0;
+  std::uint64_t protocol_errors = 0;
+  std::uint64_t evictions = 0;
+  std::uint64_t shed_expired = 0;
+  std::uint64_t credit_stalls = 0;
+  std::uint64_t drained = 0;
+  std::uint64_t drain_aborted = 0;
+  std::uint64_t drain_refused = 0;
+};
+
+/// Relaxed load of every shared counter (each is an independent monotonic
+/// tally, so the snapshot is consistent per field, not across fields).
+DaemonStats load_stats(const SharedStats& shared);
+
+/// One-line rendering for logs and `whtd --stats`:
+/// "requests=N vectors=N ... drain_refused=N".
+std::string to_string(const DaemonStats& stats);
+
 // --- control header ---------------------------------------------------------
 
 inline constexpr std::uint64_t kMagic = 0x7768746c61622d69ULL;  // "whtlab-i"

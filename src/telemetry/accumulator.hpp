@@ -9,8 +9,8 @@
 //   * count / sum / sum-of-squares  -> mean, variance, stddev;
 //   * min / max                     -> lifetime extremes (never decayed);
 //   * a fixed 64-bucket log2-scaled histogram -> p50/p99/any quantile
-//     without allocation (bucket b holds values with bit_width == b, the
-//     same power-of-two quantisation bench_ipc uses for its latencies);
+//     without allocation (bucket b holds values with bit_width == b; the
+//     benches record their latencies into the same Stats type);
 //   * epoch-based decay: every `decay_window` records a stripe halves its
 //     count/sum/sumsq/buckets, so the running mean and the percentiles are
 //     exponentially weighted toward the most recent epoch (this IS the
@@ -62,9 +62,16 @@ inline std::uint64_t now_ticks() {
 #endif
 }
 
+/// Histogram bucket of a value: its bit width, so bucket b holds
+/// [2^(b-1), 2^b - 1] (bucket 0 holds 0), saturating at the last bucket.
+inline int bucket_of(std::uint64_t value) {
+  return std::min(static_cast<int>(std::bit_width(value)), kBuckets - 1);
+}
+
 /// Plain-value snapshot of one series (also the merge unit: parallel
 /// aggregation is just field-wise addition, Chan-style, since the moments
-/// are kept as raw sums).
+/// are kept as raw sums).  record() makes it a single-owner histogram in its
+/// own right — the benches' per-client latency series.
 struct Stats {
   std::uint64_t count = 0;
   std::uint64_t min = ~std::uint64_t{0};  ///< lifetime; ~0 when count == 0
@@ -74,6 +81,16 @@ struct Stats {
   std::uint64_t buckets[kBuckets] = {};
 
   double mean() const { return count == 0 ? 0.0 : sum / static_cast<double>(count); }
+
+  /// Single-owner recording (no atomics, no decay).
+  void record(std::uint64_t value) {
+    ++count;
+    min = std::min(min, value);
+    max = std::max(max, value);
+    sum += static_cast<double>(value);
+    sumsq += static_cast<double>(value) * static_cast<double>(value);
+    ++buckets[bucket_of(value)];
+  }
 
   double variance() const {
     if (count < 2) return 0.0;
@@ -194,10 +211,6 @@ struct alignas(64) Cell {
       part.buckets[b] = buckets[b].load(std::memory_order_relaxed);
     }
     out.merge(part);
-  }
-
-  static int bucket_of(std::uint64_t value) {
-    return std::min(static_cast<int>(std::bit_width(value)), kBuckets - 1);
   }
 };
 

@@ -20,7 +20,7 @@ namespace {
 TEST(BackendRegistry, BuiltinsAreRegistered) {
   auto& registry = BackendRegistry::global();
   for (const char* name :
-       {"generated", "template", "instrumented", "parallel", "simd"}) {
+       {"generated", "instrumented", "parallel", "simd"}) {
     EXPECT_TRUE(registry.contains(name)) << name;
     const auto backend = registry.create(name);
     ASSERT_NE(backend, nullptr) << name;
@@ -50,7 +50,7 @@ TEST(BackendRegistry, DuplicateRegistrationThrows) {
   EXPECT_THROW(BackendRegistry::global().register_factory(
                    "generated",
                    [](const BackendOptions&) {
-                     return BackendRegistry::global().create("template");
+                     return BackendRegistry::global().create("simd");
                    }),
                std::invalid_argument);
 }
@@ -142,8 +142,8 @@ TEST_P(BuiltinBackendTest, StridedRunMatchesGather) {
 }
 
 INSTANTIATE_TEST_SUITE_P(AllBuiltins, BuiltinBackendTest,
-                         ::testing::Values("generated", "template",
-                                           "instrumented", "parallel", "simd"));
+                         ::testing::Values("generated", "instrumented",
+                                           "parallel", "simd"));
 
 TEST(BackendRunMany, DefaultLoopAndOverridesAgree) {
   // Every built-in's batch path must equal per-vector runs of "generated" —
@@ -164,7 +164,7 @@ TEST(BackendRunMany, DefaultLoopAndOverridesAgree) {
   BackendOptions options;
   options.threads = 3;
   for (const char* name :
-       {"generated", "template", "instrumented", "parallel", "simd"}) {
+       {"generated", "instrumented", "parallel", "simd"}) {
     auto backend = BackendRegistry::global().create(name, options);
     std::vector<double> batch = master;
     backend->run_many(plan, batch.data(), count, dist);

@@ -90,9 +90,8 @@ TEST_P(SharedTransformTest, ConcurrentBatchesBitIdenticalToSerial) {
 }
 
 INSTANTIATE_TEST_SUITE_P(AllBackends, SharedTransformTest,
-                         ::testing::Values("generated", "template",
-                                           "instrumented", "parallel", "simd",
-                                           "fused"));
+                         ::testing::Values("generated", "instrumented",
+                                           "parallel", "simd", "fused"));
 
 TEST(SharedTransform, PerThreadOpCountsAreExact) {
   // The instrumented backend's tallies land in each thread's own pooled

@@ -10,7 +10,16 @@
 // anchors the absolute speedups, and every fused run is checked bit-exact
 // against the scalar interpreter before timing.  Emits an aligned table and
 // a JSON trajectory including the geomean fused-vs-simd speedup over
-// n >= 18 (the beyond-L2 regime the fused engine exists for).
+// n >= 18 (the beyond-L2 regime the fused engine exists for).  Every cell
+// is the median over reps with its interquartile range.
+//
+// The JSON's "passes" array is the per-pass attribution: each pass shape
+// the default blocking emits for n in [nmin, nmax] that fits one L2 block,
+// timed alone (a one-pass Schedule through the fused executor) on a
+// 2^l2_block_log2-double block the protocol's buffer restore leaves
+// L2-resident, in ns per element of the block.  Every strided shape also
+// carries a radix-2 pass at the same stage: both make one sweep of the
+// block, so "vs_radix2" is what the extra stages cost.
 //
 // Run:  ./bench_fused_compare [--out FILE] [--nmin N] [--nmax N] [--reps N]
 //                             [--level scalar|avx2|avx512] [--no-baseline]
@@ -22,25 +31,93 @@
 //        --wisdom caches the kEstimate winners so repeat runs skip even
 //        the sub-second analytic planning pass — see bench_plan_time for
 //        the planning-cost trajectory itself.)
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <string>
+#include <thread>
+#include <utility>
 #include <vector>
 
 #include "api/wht.hpp"
 #include "core/executor.hpp"
 #include "core/schedule.hpp"
+#include "perf/cycle_timer.hpp"
 #include "perf/measure.hpp"
 #include "simd/cpu_features.hpp"
 #include "simd/fused_executor.hpp"
+#include "stats/descriptive.hpp"
 #include "util/aligned_buffer.hpp"
 #include "util/cli.hpp"
 #include "util/rng.hpp"
 
-int main(int argc, char** argv) {
-  using namespace whtlab;
+using namespace whtlab;
 
+namespace {
+
+/// Every pass of `round` and its inner rounds, as (stage, radix_log2).
+void collect_passes(const core::ScheduleRound& round,
+                    std::vector<std::pair<int, int>>& shapes) {
+  for (const core::ScheduleRound& inner : round.inner) {
+    collect_passes(inner, shapes);
+  }
+  for (const core::SchedulePass& pass : round.passes) {
+    shapes.emplace_back(pass.stage, pass.radix_log2);
+  }
+}
+
+struct PassRow {
+  int stage, radix_log2;
+  double ns, iqr_ns;  ///< median and IQR ns per element of the block
+  double radix2_ns;   ///< radix-2 pass at the same stage; < 0 for unit passes
+  double vs_radix2;   ///< median of the per-rep ratios ns / radix2_ns
+};
+
+/// Times one pass alone on a 2^block_log2 block, `reps` samples of 8
+/// back-to-back passes each.  A strided pass is timed rep by rep in
+/// alternation with a radix-2 pass at the same stage, so a change in the
+/// host's speed during the run hits both alike; the ratio is the median of
+/// the per-rep ratios.
+PassRow time_pass(int block_log2, int stage, int radix_log2,
+                  simd::SimdLevel level, int reps) {
+  const std::uint64_t size = std::uint64_t{1} << block_log2;
+  const double ns_per_cycle_elem =
+      1e9 / perf::cycles_per_second() / static_cast<double>(size);
+  const auto sample = [&](int k) {
+    const core::Schedule schedule{
+        block_log2, {core::ScheduleRound{block_log2, {}, {{stage, k}}}}};
+    perf::MeasureOptions options;
+    options.warmup = 1;
+    options.repetitions = 1;
+    options.inner_loop = 8;
+    return perf::measure_run(
+               [&](double* x) { simd::execute_fused(schedule, x, 1, level); },
+               size, options)
+               .cycles() *
+           ns_per_cycle_elem;
+  };
+  const bool paired = stage > 0 && radix_log2 > 1;
+  std::vector<double> ns, radix2_ns, ratios;
+  for (int r = 0; r < reps; ++r) {
+    ns.push_back(sample(radix_log2));
+    if (paired) {
+      radix2_ns.push_back(sample(1));
+      ratios.push_back(ns.back() / radix2_ns.back());
+    }
+  }
+  const stats::Quartiles q = stats::quartiles(ns);
+  PassRow row{stage, radix_log2, q.q2, q.iqr(), -1.0, -1.0};
+  if (stage > 0) {
+    row.radix2_ns = paired ? stats::quartiles(radix2_ns).q2 : q.q2;
+    row.vs_radix2 = paired ? stats::quartiles(ratios).q2 : 1.0;
+  }
+  return row;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
   util::Cli cli;
   cli.add_flag("out", "output JSON path", "BENCH_fused.json");
   cli.add_flag("nmin", "smallest size log2", "14");
@@ -78,7 +155,7 @@ int main(int argc, char** argv) {
   struct Row {
     int n;
     int sweeps;
-    double generated, simd_cycles, fused;
+    perf::MeasureResult generated, simd, fused;
   };
   std::vector<Row> rows;
 
@@ -86,6 +163,7 @@ int main(int argc, char** argv) {
   auto simd_backend = wht::BackendRegistry::global().create("simd");
   auto fused_backend = wht::BackendRegistry::global().create("fused");
 
+  std::vector<std::pair<int, int>> shapes;
   for (int n = nmin; n <= nmax; ++n) {
     // Each backend gets its own kEstimate winner — candidates priced by the
     // model of the engine that will run them.
@@ -122,27 +200,52 @@ int main(int argc, char** argv) {
 
     Row row{};
     row.n = n;
-    row.sweeps = core::sweep_count(core::lower_size(n, blocking));
-    row.generated =
-        baseline
-            ? wht::measure_with_backend(*scalar_backend, simd_plan, options)
-                  .cycles()
-            : 0.0;
-    row.simd_cycles =
-        wht::measure_with_backend(*simd_backend, simd_plan, options).cycles();
-    row.fused =
-        wht::measure_with_backend(*fused_backend, fused_plan, options).cycles();
+    const core::Schedule schedule = core::lower_size(n, blocking);
+    row.sweeps = core::sweep_count(schedule);
+    for (const core::ScheduleRound& round : schedule.rounds) {
+      collect_passes(round, shapes);
+    }
+    if (baseline) {
+      row.generated =
+          wht::measure_with_backend(*scalar_backend, simd_plan, options);
+    }
+    row.simd = wht::measure_with_backend(*simd_backend, simd_plan, options);
+    row.fused = wht::measure_with_backend(*fused_backend, fused_plan, options);
     rows.push_back(row);
 
+    const double simd_cycles = row.simd.cycles();
+    const double fused_cycles = row.fused.cycles();
     if (baseline) {
       std::printf("%4d %6d %16.0f %16.0f %16.0f %9.2fx %9.2fx\n", n,
-                  row.sweeps, row.generated, row.simd_cycles, row.fused,
-                  row.simd_cycles / row.fused, row.generated / row.fused);
+                  row.sweeps, row.generated.cycles(), simd_cycles,
+                  fused_cycles, simd_cycles / fused_cycles,
+                  row.generated.cycles() / fused_cycles);
     } else {
       std::printf("%4d %6d %16s %16.0f %16.0f %9.2fx %10s\n", n, row.sweeps,
-                  "-", row.simd_cycles, row.fused,
-                  row.simd_cycles / row.fused, "-");
+                  "-", simd_cycles, fused_cycles, simd_cycles / fused_cycles,
+                  "-");
     }
+  }
+
+  // Per-pass table: the distinct in-L2 pass shapes, each timed alone.
+  const int block_log2 = blocking.l2_block_log2;
+  std::sort(shapes.begin(), shapes.end());
+  shapes.erase(std::unique(shapes.begin(), shapes.end()), shapes.end());
+  const int pass_reps = std::max(reps, 9);  // a pass costs microseconds
+  std::vector<PassRow> passes;
+  std::printf("per-pass ns/elem on one 2^%d block:\n%6s %6s %10s %10s %10s\n",
+              block_log2, "stage", "radix", "ns/elem", "radix-2", "vs r2");
+  for (const auto& [stage, radix_log2] : shapes) {
+    if (stage + radix_log2 > block_log2) continue;  // streaming: beyond L2
+    const PassRow p = time_pass(block_log2, stage, radix_log2, level, pass_reps);
+    if (stage > 0) {
+      std::printf("%6d %6d %10.3f %10.3f %9.2fx\n", stage, 1 << radix_log2,
+                  p.ns, p.radix2_ns, p.vs_radix2);
+    } else {
+      std::printf("%6d %6d %10.3f %10s %10s\n", stage, 1 << radix_log2, p.ns,
+                  "-", "-");
+    }
+    passes.push_back(p);
   }
 
   // Geomean of the fused-vs-simd speedup over the beyond-L2 sizes.
@@ -150,7 +253,7 @@ int main(int argc, char** argv) {
   int log_count = 0;
   for (const Row& r : rows) {
     if (r.n >= 18) {
-      log_sum += std::log(r.simd_cycles / r.fused);
+      log_sum += std::log(r.simd.cycles() / r.fused.cycles());
       ++log_count;
     }
   }
@@ -166,30 +269,60 @@ int main(int argc, char** argv) {
     return 1;
   }
   std::fprintf(f,
-               "{\n  \"bench\": \"fused_compare\",\n  \"level\": \"%s\",\n"
+               "{\n  \"bench\": \"fused_compare\",\n  \"host_cores\": %u,\n"
+               "  \"level\": \"%s\",\n"
                "  \"vector_width\": %d,\n  \"l1_block_log2\": %d,\n"
                "  \"l2_block_log2\": %d,\n  \"repetitions\": %d,\n"
-               "  \"aggregation\": \"median per cell, geomean across sizes\",\n"
+               "  \"aggregation\": \"median cycles per cell and the "
+               "interquartile range over its reps, geomean across sizes\",\n"
                "  \"parity\": \"bit-identical vs generated\",\n"
                "  \"geomean_fused_vs_simd_n18plus\": %.3f,\n"
                "  \"results\": [\n",
-               simd::to_string(level), simd::vector_width(level),
-               blocking.l1_block_log2, blocking.l2_block_log2, reps, geomean);
+               std::thread::hardware_concurrency(), simd::to_string(level),
+               simd::vector_width(level), blocking.l1_block_log2,
+               blocking.l2_block_log2, reps, geomean);
   for (std::size_t i = 0; i < rows.size(); ++i) {
     const Row& r = rows[i];
-    std::string scalar_fields = "null, \"fused_vs_scalar\": null";
+    std::string scalar_fields =
+        "null, \"generated_iqr_cycles\": null, \"fused_vs_scalar\": null";
     if (baseline) {
-      char buffer[96];
-      std::snprintf(buffer, sizeof(buffer), "%.1f, \"fused_vs_scalar\": %.3f",
-                    r.generated, r.generated / r.fused);
+      char buffer[128];
+      std::snprintf(buffer, sizeof(buffer),
+                    "%.1f, \"generated_iqr_cycles\": %.1f, "
+                    "\"fused_vs_scalar\": %.3f",
+                    r.generated.cycles(), r.generated.iqr_cycles,
+                    r.generated.cycles() / r.fused.cycles());
       scalar_fields = buffer;
     }
     std::fprintf(f,
                  "    {\"n\": %d, \"sweeps\": %d, "
                  "\"generated_cycles\": %s, \"simd_cycles\": %.1f, "
-                 "\"fused_cycles\": %.1f, \"fused_vs_simd\": %.3f}%s\n",
-                 r.n, r.sweeps, scalar_fields.c_str(), r.simd_cycles, r.fused,
-                 r.simd_cycles / r.fused, i + 1 < rows.size() ? "," : "");
+                 "\"simd_iqr_cycles\": %.1f, \"fused_cycles\": %.1f, "
+                 "\"fused_iqr_cycles\": %.1f, \"fused_vs_simd\": %.3f}%s\n",
+                 r.n, r.sweeps, scalar_fields.c_str(), r.simd.cycles(),
+                 r.simd.iqr_cycles, r.fused.cycles(), r.fused.iqr_cycles,
+                 r.simd.cycles() / r.fused.cycles(),
+                 i + 1 < rows.size() ? "," : "");
+  }
+  std::fprintf(f,
+               "  ],\n  \"passes_block_log2\": %d,\n"
+               "  \"passes_repetitions\": %d,\n  \"passes\": [\n",
+               block_log2, pass_reps);
+  for (std::size_t i = 0; i < passes.size(); ++i) {
+    const PassRow& p = passes[i];
+    std::string radix2_fields = "null, \"vs_radix2\": null";
+    if (p.radix2_ns >= 0) {
+      char buffer[64];
+      std::snprintf(buffer, sizeof(buffer), "%.4f, \"vs_radix2\": %.3f",
+                    p.radix2_ns, p.vs_radix2);
+      radix2_fields = buffer;
+    }
+    std::fprintf(f,
+                 "    {\"stage\": %d, \"radix_log2\": %d, "
+                 "\"ns_per_elem\": %.4f, \"iqr_ns_per_elem\": %.4f, "
+                 "\"radix2_ns_per_elem\": %s}%s\n",
+                 p.stage, p.radix_log2, p.ns, p.iqr_ns, radix2_fields.c_str(),
+                 i + 1 < passes.size() ? "," : "");
   }
   std::fprintf(f, "  ]\n}\n");
   std::fclose(f);

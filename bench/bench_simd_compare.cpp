@@ -6,11 +6,14 @@
 // packed vectors — the high-throughput serving shape).  Emits an aligned
 // table on stdout and a JSON trajectory:
 //
-//   { "bench": "simd_compare", "level": "avx512", "vector_width": 8, ...,
+//   { "bench": "simd_compare", "host_cores": 4, "level": "avx512",
+//     "vector_width": 8, ...,
 //     "results": [ { "n": 10, "single_scalar_cycles": ...,
-//                    "single_simd_cycles": ..., "single_speedup": ...,
-//                    "batch_scalar_cycles_per_vec": ...,
-//                    "batch_simd_cycles_per_vec": ...,
+//                    "single_scalar_iqr_cycles": ...,
+//                    "single_simd_cycles": ..., "single_simd_iqr_cycles": ...,
+//                    "single_speedup": ...,
+//                    "batch_scalar_cycles_per_vec": ..., (and its _iqr_)
+//                    "batch_simd_cycles_per_vec": ..., (and its _iqr_)
 //                    "batch_speedup": ... }, ... ] }
 //
 // Run:  ./bench_simd_compare [--out FILE] [--nmin N] [--nmax N]
@@ -18,10 +21,12 @@
 //       (util::Cli parsing: --name value and --name=value both work;
 //        --benchmark_repetitions is an alias for --reps, the same
 //        repetitions-then-median convention as the google-benchmark micros;
-//        every reported cycle count is the median over reps.)
+//        every reported cycle count is the median over reps, next to the
+//        interquartile range over the same reps.)
 #include <cstdio>
 #include <cstdlib>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "api/wht.hpp"
@@ -61,10 +66,12 @@ int main(int argc, char** argv) {
 
   perf::MeasureOptions options;
   options.repetitions = reps;
+  const double vectors = static_cast<double>(batch);
 
   struct Row {
     int n;
-    double single_scalar, single_simd, batch_scalar, batch_simd;
+    perf::MeasureResult single_scalar, single_simd;
+    perf::MeasureResult batch_scalar, batch_simd;  ///< per batch, not per vector
   };
   std::vector<Row> rows;
 
@@ -78,29 +85,24 @@ int main(int argc, char** argv) {
     Row row{};
     row.n = n;
     row.single_scalar =
-        wht::measure_with_backend(*scalar_backend, plan, options).cycles();
-    row.single_simd =
-        wht::measure_with_backend(*simd_backend, plan, options).cycles();
+        wht::measure_with_backend(*scalar_backend, plan, options);
+    row.single_simd = wht::measure_with_backend(*simd_backend, plan, options);
 
     const std::uint64_t total = plan.size() * batch;
-    row.batch_scalar =
-        perf::measure_run(
-            [&](double* x) { scalar_backend->run_many(plan, x, batch, dist); },
-            total, options)
-            .cycles() /
-        static_cast<double>(batch);
-    row.batch_simd =
-        perf::measure_run(
-            [&](double* x) { simd_backend->run_many(plan, x, batch, dist); },
-            total, options)
-            .cycles() /
-        static_cast<double>(batch);
+    row.batch_scalar = perf::measure_run(
+        [&](double* x) { scalar_backend->run_many(plan, x, batch, dist); },
+        total, options);
+    row.batch_simd = perf::measure_run(
+        [&](double* x) { simd_backend->run_many(plan, x, batch, dist); },
+        total, options);
     rows.push_back(row);
 
     std::printf("%4d %16.0f %16.0f %7.2fx %16.0f %16.0f %7.2fx\n", n,
-                row.single_scalar, row.single_simd,
-                row.single_scalar / row.single_simd, row.batch_scalar,
-                row.batch_simd, row.batch_scalar / row.batch_simd);
+                row.single_scalar.cycles(), row.single_simd.cycles(),
+                row.single_scalar.cycles() / row.single_simd.cycles(),
+                row.batch_scalar.cycles() / vectors,
+                row.batch_simd.cycles() / vectors,
+                row.batch_scalar.cycles() / row.batch_simd.cycles());
   }
 
   std::FILE* f = std::fopen(out.c_str(), "w");
@@ -109,21 +111,34 @@ int main(int argc, char** argv) {
     return 1;
   }
   std::fprintf(f,
-               "{\n  \"bench\": \"simd_compare\",\n  \"level\": \"%s\",\n"
+               "{\n  \"bench\": \"simd_compare\",\n  \"host_cores\": %u,\n"
+               "  \"level\": \"%s\",\n"
                "  \"vector_width\": %d,\n  \"batch\": %zu,\n"
-               "  \"repetitions\": %d,\n  \"results\": [\n",
-               simd::to_string(level), simd::vector_width(level), batch, reps);
+               "  \"repetitions\": %d,\n"
+               "  \"aggregation\": \"median cycles per cell and the "
+               "interquartile range over its reps\",\n  \"results\": [\n",
+               std::thread::hardware_concurrency(), simd::to_string(level),
+               simd::vector_width(level), batch, reps);
   for (std::size_t i = 0; i < rows.size(); ++i) {
     const Row& r = rows[i];
     std::fprintf(f,
                  "    {\"n\": %d, \"single_scalar_cycles\": %.1f, "
-                 "\"single_simd_cycles\": %.1f, \"single_speedup\": %.3f, "
+                 "\"single_scalar_iqr_cycles\": %.1f, "
+                 "\"single_simd_cycles\": %.1f, "
+                 "\"single_simd_iqr_cycles\": %.1f, \"single_speedup\": %.3f, "
                  "\"batch_scalar_cycles_per_vec\": %.1f, "
+                 "\"batch_scalar_iqr_cycles_per_vec\": %.1f, "
                  "\"batch_simd_cycles_per_vec\": %.1f, "
+                 "\"batch_simd_iqr_cycles_per_vec\": %.1f, "
                  "\"batch_speedup\": %.3f}%s\n",
-                 r.n, r.single_scalar, r.single_simd,
-                 r.single_scalar / r.single_simd, r.batch_scalar, r.batch_simd,
-                 r.batch_scalar / r.batch_simd,
+                 r.n, r.single_scalar.cycles(), r.single_scalar.iqr_cycles,
+                 r.single_simd.cycles(), r.single_simd.iqr_cycles,
+                 r.single_scalar.cycles() / r.single_simd.cycles(),
+                 r.batch_scalar.cycles() / vectors,
+                 r.batch_scalar.iqr_cycles / vectors,
+                 r.batch_simd.cycles() / vectors,
+                 r.batch_simd.iqr_cycles / vectors,
+                 r.batch_scalar.cycles() / r.batch_simd.cycles(),
                  i + 1 < rows.size() ? "," : "");
   }
   std::fprintf(f, "  ]\n}\n");

@@ -6,6 +6,7 @@
 
 #include "core/executor.hpp"
 #include "perf/cycle_timer.hpp"
+#include "stats/descriptive.hpp"
 #include "util/aligned_buffer.hpp"
 #include "util/rng.hpp"
 
@@ -79,6 +80,7 @@ MeasureResult measure_run(const RunFn& run, std::uint64_t size,
   double total = 0.0;
   for (double s : samples) total += s;
   result.mean_cycles = total / static_cast<double>(samples.size());
+  result.iqr_cycles = stats::quartiles(samples).iqr();
   return result;
 }
 

@@ -11,7 +11,7 @@
 //      copy only serves to keep values bounded; the copy is outside the
 //      timed region but *warms the cache identically before every rep*,
 //      making reps comparable);
-//   4. report minimum, median, and mean cycles.
+//   4. report minimum, median, mean cycles and the interquartile range.
 //
 // Experiments use the median (robust to timer interrupts); the paper's
 // single-shot PAPI readings correspond most closely to the minimum.
@@ -43,6 +43,7 @@ struct MeasureResult {
   double min_cycles = 0.0;
   double median_cycles = 0.0;
   double mean_cycles = 0.0;
+  double iqr_cycles = 0.0;  ///< interquartile range of the samples
   int inner_loop = 1;  ///< batch size actually used
 
   /// The experiment harness's "cycle count" — the median.

@@ -9,6 +9,17 @@
 // (W = 4 only in the AVX2 unit, W = 8 only in the AVX-512 unit) so no
 // function body ever ends up compiled with the wrong target flags.
 //
+// Register-resident contract: every tile body (radix_cols, leaf_unit<W, K>,
+// the gather leaf) is compile-time in its radix, [[gnu::always_inline]] and
+// fully unrolled (#pragma GCC unroll on constant trip counts), so its local
+// vector array is scalarized into registers and a butterfly is one add and
+// one sub on registers — no runtime-k loop, no call per tile, and no stack
+// traffic beyond what the register file cannot hold (radix-32 on 16 ymm,
+// the 2^8 unit leaf's 32 zmm plus temporaries).  The runtime radix is
+// dispatched once per pass (or per leaf call) through dispatch_radix, never
+// per tile.  The one runtime-loop body left is the lockstep leaf beyond the
+// widest tile (k > kMaxTileLog2).
+//
 // Numerical contract: bit-identical to the scalar codelets.  Every butterfly
 // is the same (a+b, a−b) pair in the same stage order as template_codelet /
 // the generated straight-line code; the in-register stages compute a−b as
@@ -19,8 +30,10 @@
 // assert equality with EXPECT_EQ, not a tolerance.
 #pragma once
 
+#include <bit>
 #include <cstddef>
 #include <cstdint>
+#include <type_traits>
 
 #if defined(__AVX512F__)
 // The gather/scatter leaf needs the vgatherqpd / vscatterqpd intrinsics,
@@ -119,52 +132,91 @@ inline vec_t<W> lane_butterfly(vec_t<W> v) {
   }
 }
 
-template <int W>
-inline constexpr int kLog2Width = W == 4 ? 2 : 3;
+/// log2 of a power-of-two compile-time count.
+template <int M>
+inline constexpr int kLog2 = std::bit_width(static_cast<unsigned>(M)) - 1;
 
-/// The in-register WHT(2^k) stage body shared by leaf_unit and the
-/// gather/scatter strided leaf: t[] holds 2^k logically consecutive
-/// elements W per register.  Stages 0..log2(W)-1 run inside registers via
-/// lane_butterfly; stages log2(W).. are full-width add/sub between
-/// registers — the same stage order as the scalar codelets.
-template <int W>
-inline void register_stages(int k, vec_t<W>* t) {
+/// Widest lockstep tile with a compile-time body: radix-2^5 = 32 vectors,
+/// the whole AVX-512 register file.  fused_lockstep_pass and leaf_lockstep
+/// take the runtime-loop body only above it.
+inline constexpr int kMaxTileLog2 = 5;
+
+/// Calls f(std::integral_constant<int, K>{}) with K == k for k in [Lo, Hi]
+/// — the one place a runtime radix becomes a compile-time one, so the tile
+/// or pass f instantiates per K is register-resident.  Callers guarantee
+/// the range (a k outside it runs the Hi instantiation).
+template <int Lo, int Hi, typename F>
+[[gnu::always_inline]] inline void dispatch_radix(int k, F&& f) {
+  if constexpr (Lo < Hi) {
+    if (k != Lo) {
+      dispatch_radix<Lo + 1, Hi>(k, f);
+      return;
+    }
+  }
+  f(std::integral_constant<int, Lo>{});
+}
+
+/// Full-width butterfly stages across NV registers: stage s pairs t[i] and
+/// t[i + 2^s] as (a+b, a-b), stages ascending — template_codelet's loop
+/// with every scalar widened to a vector.  Constant trip counts, unrolled,
+/// so with a local t[] every access folds to a register.
+template <int W, int NV>
+[[gnu::always_inline]] inline void vector_butterflies(vec_t<W>* t) {
   using vec = vec_t<W>;
-  const int nv = (1 << k) / W;
-  for (int i = 0; i < nv; ++i) {
-    vec v = t[i];
+#pragma GCC unroll 8
+  for (int stage = 0; stage < kLog2<NV>; ++stage) {
+#pragma GCC unroll 64
+    for (int i = 0; i < NV / 2; ++i) {
+      const int lo = ((i >> stage) << (stage + 1)) | (i & ((1 << stage) - 1));
+      const int hi = lo + (1 << stage);
+      const vec a = t[lo];
+      const vec b = t[hi];
+      t[lo] = a + b;
+      t[hi] = a - b;
+    }
+  }
+}
+
+/// The in-register WHT stage body shared by leaf_unit and the gather/scatter
+/// strided leaf: t[] holds NV * W logically consecutive elements W per
+/// register.  Stages 0..log2(W)-1 run inside registers via lane_butterfly;
+/// stages log2(W).. are full-width add/sub between registers — the same
+/// stage order as the scalar codelets.
+template <int W, int NV>
+[[gnu::always_inline]] inline void register_stages(vec_t<W>* t) {
+#pragma GCC unroll 64
+  for (int i = 0; i < NV; ++i) {
+    vec_t<W> v = t[i];
     v = lane_butterfly<W, 1>(v);
     v = lane_butterfly<W, 2>(v);
     if constexpr (W == 8) v = lane_butterfly<W, 4>(v);
     t[i] = v;
   }
-  for (int stage = kLog2Width<W>; stage < k; ++stage) {
-    const int hw = 1 << (stage - kLog2Width<W>);  // butterfly span in vectors
-    for (int base = 0; base < nv; base += 2 * hw) {
-      for (int off = 0; off < hw; ++off) {
-        const vec a = t[base + off];
-        const vec b = t[base + off + hw];
-        t[base + off] = a + b;
-        t[base + off + hw] = a - b;
-      }
-    }
-  }
+  vector_butterflies<W, NV>(t);
 }
 
-/// WHT(2^k) on 2^k contiguous doubles, 2^k >= W.
+/// WHT(2^K) on 2^K contiguous doubles, 2^K >= W.
+template <int W, int K>
+[[gnu::always_inline]] inline void leaf_unit(double* x) {
+  constexpr int kVectors = (1 << K) / W;
+  vec_t<W> t[kVectors];
+#pragma GCC unroll 64
+  for (int i = 0; i < kVectors; ++i) t[i] = vload<W>(x + i * W);
+  register_stages<W, kVectors>(t);
+#pragma GCC unroll 64
+  for (int i = 0; i < kVectors; ++i) vstore<W>(x + i * W, t[i]);
+}
+
+/// KernelSet::leaf_unit: the runtime-k entry for the tree walk, one
+/// dispatch per leaf onto the leaf_unit<W, K> instantiations.
 template <int W>
 void leaf_unit(int k, double* x) {
-  using vec = vec_t<W>;
-  const int m = 1 << k;
-  const int nv = m / W;
-  vec t[(1 << core::kMaxUnrolled) / W];
-  for (int i = 0; i < nv; ++i) t[i] = vload<W>(x + i * W);
-  register_stages<W>(k, t);
-  for (int i = 0; i < nv; ++i) vstore<W>(x + i * W, t[i]);
+  dispatch_radix<kLog2<W>, core::kMaxUnrolled>(
+      k, [&](auto K) { leaf_unit<W, K>(x); });
 }
 
 #if defined(__AVX512F__)
-/// WHT(2^k) on the 2^k strided doubles x[0], x[stride], ..., 2^k >= 8 —
+/// WHT(2^K) on the 2^K strided doubles x[0], x[stride], ..., 2^K >= 8 —
 /// the gather/scatter twin of leaf_unit for the leaves the tree walk would
 /// otherwise run scalar (a strided execute() call, or the small-stride
 /// recursion below the lockstep threshold).  vgatherqpd pulls 8 strided
@@ -174,24 +226,38 @@ void leaf_unit(int k, double* x) {
 /// parity suites gate this like every other kernel).  AVX-512 only: AVX2
 /// has gathers but no scatters, and a gathered load that must be stored
 /// back element-by-element loses the exercise.
-inline void leaf_strided_avx512(int k, double* x, std::ptrdiff_t stride) {
-  const int nv = (1 << k) / 8;
-  v8df t[(1 << core::kMaxUnrolled) / 8];
+template <int K>
+[[gnu::always_inline]] inline void leaf_strided_avx512(double* x,
+                                                       std::ptrdiff_t stride) {
+  constexpr int kVectors = (1 << K) / 8;
+  v8df t[kVectors];
   const long long s = static_cast<long long>(stride);
   const __m512i first =
       _mm512_setr_epi64(0, s, 2 * s, 3 * s, 4 * s, 5 * s, 6 * s, 7 * s);
   const __m512i step = _mm512_set1_epi64(8 * s);
   __m512i index = first;
-  for (int i = 0; i < nv; ++i) {
-    t[i] = (v8df)_mm512_i64gather_pd(index, x, 8);
+#pragma GCC unroll 64
+  for (int i = 0; i < kVectors; ++i) {
+    // The masked form with an explicit zero source: the unmasked intrinsic
+    // starts from _mm512_undefined_pd(), which GCC flags as uninitialized
+    // once the loop is unrolled.
+    t[i] = (v8df)_mm512_mask_i64gather_pd(_mm512_setzero_pd(), 0xFF, index,
+                                          x, 8);
     index = _mm512_add_epi64(index, step);
   }
-  register_stages<8>(k, t);
+  register_stages<8, kVectors>(t);
   index = first;
-  for (int i = 0; i < nv; ++i) {
+#pragma GCC unroll 64
+  for (int i = 0; i < kVectors; ++i) {
     _mm512_i64scatter_pd(x, index, (__m512d)t[i], 8);
     index = _mm512_add_epi64(index, step);
   }
+}
+
+/// KernelSet::leaf_strided: one dispatch per leaf onto the K instantiations.
+inline void leaf_strided_avx512(int k, double* x, std::ptrdiff_t stride) {
+  dispatch_radix<3, core::kMaxUnrolled>(
+      k, [&](auto K) { leaf_strided_avx512<K>(x, stride); });
 }
 #endif  // __AVX512F__
 
@@ -294,11 +360,29 @@ void interleave_out(double* base, const double* scratch, std::ptrdiff_t dist,
   }
 }
 
-/// W transforms in lockstep: lane l's element j at x[l + j*stride],
-/// stride >= W.  Structurally template_codelet with every scalar widened to
-/// a vector — no shuffles anywhere.
+/// Radix-M lockstep tile on W adjacent columns: element i of column c at
+/// x[c + i*s], log2(M) butterfly stages carried entirely in registers
+/// (M vectors live — 32 zmm at the radix-32 / width-8 peak).  Compile-time
+/// radix, forced inline and fully unrolled: the M loads, the butterflies
+/// and the M stores fold into straight-line register code inside the
+/// caller's column loop, with no call and no stack round trip per
+/// butterfly.  The runtime radix is dispatched per pass (fused_lockstep_pass)
+/// or per leaf (leaf_lockstep), never per tile.
+template <int W, int M>
+[[gnu::always_inline]] inline void radix_cols(double* x, std::ptrdiff_t s) {
+  vec_t<W> t[M];
+#pragma GCC unroll 64
+  for (int i = 0; i < M; ++i) t[i] = vload<W>(x + i * s);
+  vector_butterflies<W, M>(t);
+#pragma GCC unroll 64
+  for (int i = 0; i < M; ++i) vstore<W>(x + i * s, t[i]);
+}
+
+/// Lockstep WHT(2^k) beyond the widest compile-time tile (k >
+/// kMaxTileLog2): the same butterflies as radix_cols with runtime trip
+/// counts over a stack array.
 template <int W>
-void leaf_lockstep(int k, double* x, std::ptrdiff_t stride) {
+void lockstep_wide(int k, double* x, std::ptrdiff_t stride) {
   using vec = vec_t<W>;
   const int m = 1 << k;
   vec t[1 << core::kMaxUnrolled];
@@ -317,39 +401,29 @@ void leaf_lockstep(int k, double* x, std::ptrdiff_t stride) {
   for (int j = 0; j < m; ++j) vstore<W>(x + j * stride, t[j]);
 }
 
+/// W transforms in lockstep: lane l's element j at x[l + j*stride],
+/// stride >= W — radix_cols<W, 2^k> for k <= kMaxTileLog2.
+template <int W>
+void leaf_lockstep(int k, double* x, std::ptrdiff_t stride) {
+  if (k > kMaxTileLog2) {
+    lockstep_wide<W>(k, x, stride);
+    return;
+  }
+  dispatch_radix<1, kMaxTileLog2>(
+      k, [&](auto K) { radix_cols<W, 1 << K>(x, stride); });
+}
+
 // --- fused-schedule pass kernels (core/schedule.hpp lowering) --------------
 
 /// Unit pass of a fused schedule: WHT(2^u) on each of `runs` contiguous
-/// 2^u-double runs — the in-register codelet, flat-looped inside the TU so
-/// one call covers a whole cache block.
+/// 2^u-double runs.  One dispatch on u, then a flat loop over the inlined
+/// leaf_unit<W, U> tile, so one call covers a whole cache block.
 template <int W>
 void fused_unit_pass(int u, double* x, std::uint64_t runs) {
-  const std::uint64_t m = std::uint64_t{1} << u;
-  for (std::uint64_t r = 0; r < runs; ++r) {
-    leaf_unit<W>(u, x + r * m);
-  }
-}
-
-/// Radix-M fused tile on W adjacent columns: element i of column c at
-/// x[c + i*s], log2(M) butterfly stages carried entirely in registers
-/// (M vectors live — 16 zmm at the radix-8 / width-8 peak).  Constant trip
-/// counts: fully unrolled, plain W-wide add/sub, no shuffles.
-template <int W, int M>
-inline void radix_cols(double* x, std::ptrdiff_t s) {
-  using vec = vec_t<W>;
-  vec t[M];
-  for (int i = 0; i < M; ++i) t[i] = vload<W>(x + i * s);
-  for (int half = 1; half < M; half *= 2) {
-    for (int base = 0; base < M; base += 2 * half) {
-      for (int off = 0; off < half; ++off) {
-        const vec a = t[base + off];
-        const vec b = t[base + off + half];
-        t[base + off] = a + b;
-        t[base + off + half] = a - b;
-      }
-    }
-  }
-  for (int i = 0; i < M; ++i) vstore<W>(x + i * s, t[i]);
+  dispatch_radix<kLog2<W>, core::kMaxUnrolled>(u, [&](auto U) {
+    constexpr std::uint64_t m = std::uint64_t{1} << U;
+    for (std::uint64_t r = 0; r < runs; ++r) leaf_unit<W, U>(x + r * m);
+  });
 }
 
 template <int W, int M>
@@ -365,6 +439,7 @@ void lockstep_pass_radix(double* x, std::uint64_t s, std::uint64_t block) {
     double* base = x + j;
     for (std::uint64_t t = 0; t < s; t += W) {
       if (t + kPrefetchAhead < s) {
+#pragma GCC unroll 64
         for (int i = 0; i < M; ++i) {
           __builtin_prefetch(base + t + kPrefetchAhead + i * s, 1);
         }
@@ -376,7 +451,7 @@ void lockstep_pass_radix(double* x, std::uint64_t s, std::uint64_t block) {
 
 /// Strided pass of a fused schedule over one contiguous block of `block`
 /// doubles: stages [stage, stage+k) as radix-2^k tiles at stride 2^stage,
-/// W columns per kernel call (requires 2^stage >= W; the column loop walks
+/// W columns per tile (requires 2^stage >= W; the column loop walks
 /// contiguous addresses, so a pass is one streaming sweep of the block).
 /// Radix-16/32 are the streaming shapes: 16/32 vectors live per tile (the
 /// whole register file at radix-32 / width-8; narrower ISAs spill to
@@ -385,32 +460,16 @@ void lockstep_pass_radix(double* x, std::uint64_t s, std::uint64_t block) {
 template <int W>
 void fused_lockstep_pass(int k, int stage, double* x, std::uint64_t block) {
   const std::uint64_t s = std::uint64_t{1} << stage;
-  switch (k) {
-    case 1:
-      lockstep_pass_radix<W, 2>(x, s, block);
-      return;
-    case 2:
-      lockstep_pass_radix<W, 4>(x, s, block);
-      return;
-    case 3:
-      lockstep_pass_radix<W, 8>(x, s, block);
-      return;
-    case 4:
-      lockstep_pass_radix<W, 16>(x, s, block);
-      return;
-    case 5:
-      lockstep_pass_radix<W, 32>(x, s, block);
-      return;
-    default:
-      // Beyond the widest unrolled tile: route through the generic
-      // lockstep leaf (runtime trip counts, stack-array temporaries).
-      for (std::uint64_t j = 0; j < block; j += s << k) {
-        for (std::uint64_t t = 0; t < s; t += W) {
-          leaf_lockstep<W>(k, x + j + t, static_cast<std::ptrdiff_t>(s));
-        }
+  if (k > kMaxTileLog2) {
+    for (std::uint64_t j = 0; j < block; j += s << k) {
+      for (std::uint64_t t = 0; t < s; t += W) {
+        lockstep_wide<W>(k, x + j + t, static_cast<std::ptrdiff_t>(s));
       }
-      return;
+    }
+    return;
   }
+  dispatch_radix<1, kMaxTileLog2>(
+      k, [&](auto K) { lockstep_pass_radix<W, 1 << K>(x, s, block); });
 }
 
 }  // namespace whtlab::simd::detail

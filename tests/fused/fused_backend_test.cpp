@@ -74,8 +74,10 @@ TEST_P(FusedParityTest, AllSizesAllShapesUnitStride) {
 
 TEST_P(FusedParityTest, BlockGeometrySweep) {
   // Non-default blockings exercise every vector path boundary: nested and
-  // single-round schedules, radix-1..3 top passes, unit passes at and below
-  // the vector width (the latter must fall back scalar, not crash).
+  // single-round schedules, radix-1..3 in-cache passes and radix-4/5
+  // streaming passes (every config keeps the default stream_radix_log2 of
+  // 5), unit passes at and below the vector width (the latter must fall
+  // back scalar, not crash).
   const SimdLevel level = GetParam();
   const std::vector<core::BlockingConfig> configs = {
       {8, 3, 11, 17}, {4, 3, 6, 9}, {8, 1, 10, 12}, {2, 2, 2, 4}, {3, 2, 5, 16}};

@@ -2,9 +2,10 @@
 // (BENCH_fused.json), the memory-bound big-n trajectory.
 //
 // For each size n in [nmin, nmax], plans with the measurement-free
-// kEstimate strategy *per backend* (each backend prices candidates with its
-// own model: "simd" with the SIMD instruction model, "fused" with the
-// memory-pass model) and times single transforms through each backend with
+// kEstimate strategy *per backend* ("simd" searches with the SIMD
+// instruction model; "fused" searches nothing, because its schedule is a
+// function of n and the cache geometry: it gets iterative_radix) and times
+// single transforms through each backend with
 // the perf protocol (warmup, repetitions, median — the noise convention for
 // 1-vCPU hosts; see README's bench section).  A scalar "generated" column
 // anchors the absolute speedups, and every fused run is checked bit-exact
@@ -28,9 +29,9 @@
 //        --benchmark_repetitions is an alias for --reps;
 //        --no-baseline skips the slow scalar column for quick ablations —
 //        its JSON fields become null;
-//        --wisdom caches the kEstimate winners so repeat runs skip even
-//        the sub-second analytic planning pass — see bench_plan_time for
-//        the planning-cost trajectory itself.)
+//        --wisdom caches the kEstimate winners so repeat runs skip the
+//        simd planning pass — see bench_plan_time for the planning-cost
+//        trajectory itself.)
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
@@ -165,8 +166,8 @@ int main(int argc, char** argv) {
 
   std::vector<std::pair<int, int>> shapes;
   for (int n = nmin; n <= nmax; ++n) {
-    // Each backend gets its own kEstimate winner — candidates priced by the
-    // model of the engine that will run them.
+    // Each backend gets its own kEstimate plan: the simd winner is priced
+    // by the model of the engine that will run it; fused's is fixed.
     wht::Planner simd_planner;
     simd_planner.backend("simd");
     wht::Planner fused_planner;

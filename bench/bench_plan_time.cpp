@@ -5,12 +5,13 @@
 // path) with the analytic miss engine — the default.  With --oracle, each
 // cell is also timed with WHTLAB_MODEL_ORACLE=1, which routes the combined
 // model's miss term through the trace-replay walk the analytic recursion
-// replaced: that is the pre-PR cost of model-driven planning, and the
-// ratio between the two is the speedup this PR exists for.  Backends that
-// price with their own model ("fused" prices lowered schedules, no cache
-// model inside) are oracle-invariant by construction; the interesting
-// before/after rows are the CombinedModel-priced backends ("generated",
-// "simd").
+// replaced: the older cost of model-driven planning, and the ratio between
+// the two is what the analytic engine buys.  The interesting before/after
+// rows are the CombinedModel-priced backends ("generated", "simd").
+// "fused" searches nothing — its schedule is a function of n and the cache
+// geometry (ExecutorBackend::follows_plan) — so its cells time the bare
+// planner path, and every cell records the planner's evaluation count: a
+// "fused" cell must read 0.
 //
 // Noise convention (README bench section): every reported cell is a median
 // over --reps timed repetitions, recorded with its interquartile range; the
@@ -26,8 +27,11 @@
 //                         [--oracle] [--oracle-backends a,b] [--oracle-nmax N]
 //                         [--max-seconds S]
 //       --max-seconds S exits nonzero when any analytic kEstimate median
-//       exceeds S — the CI plan-time regression gate.
+//       exceeds S — the CI plan-time regression gate.  The JSON's
+//       per-cell "evaluations" backs the CI check that "fused" plans
+//       without evaluating a candidate.
 #include <chrono>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <algorithm>
@@ -76,25 +80,26 @@ wht::Strategy parse_strategy(const std::string& name) {
   std::exit(2);
 }
 
-/// One full Planner().strategy(s).backend(b).plan(n), wall-clock seconds.
+/// One full Planner().strategy(s).backend(b).plan(n), wall-clock seconds;
+/// `evaluations` receives the planner's candidate-evaluation count.
 double time_plan_once(wht::Strategy strategy, const std::string& backend,
-                      int n) {
+                      int n, std::uint64_t& evaluations) {
   wht::Planner planner;
   planner.strategy(strategy).backend(backend);
   const auto start = std::chrono::steady_clock::now();
   auto transform = planner.plan(n);
   const auto stop = std::chrono::steady_clock::now();
-  (void)transform;
+  evaluations = transform.planning().evaluations;
   return std::chrono::duration<double>(stop - start).count();
 }
 
 stats::Quartiles time_plan_quartiles(wht::Strategy strategy,
                                      const std::string& backend, int n,
-                                     int reps) {
+                                     int reps, std::uint64_t& evaluations) {
   std::vector<double> samples;
   samples.reserve(static_cast<std::size_t>(reps));
   for (int r = 0; r < reps; ++r) {
-    samples.push_back(time_plan_once(strategy, backend, n));
+    samples.push_back(time_plan_once(strategy, backend, n, evaluations));
   }
   return stats::quartiles(samples);
 }
@@ -106,6 +111,7 @@ struct Cell {
   double seconds = 0.0;       ///< analytic engine (the default path)
   double iqr_seconds = 0.0;   ///< its interquartile range over the reps
   int reps = 0;
+  std::uint64_t evaluations = 0;  ///< candidates the planner evaluated
   double oracle_seconds = -1.0;  ///< trace engine; < 0 = not measured
   int oracle_reps = 0;
 };
@@ -163,7 +169,7 @@ int main(int argc, char** argv) {
         cell.n = n;
         cell.reps = reps;
         const stats::Quartiles timed =
-            time_plan_quartiles(strategy, backend, n, reps);
+            time_plan_quartiles(strategy, backend, n, reps, cell.evaluations);
         cell.seconds = timed.q2;
         cell.iqr_seconds = timed.iqr();
 
@@ -174,8 +180,11 @@ int main(int argc, char** argv) {
         if (want_oracle) {
           cell.oracle_reps = n >= 20 ? 1 : std::min(3, reps);
           ::setenv("WHTLAB_MODEL_ORACLE", "1", 1);
+          std::uint64_t oracle_evaluations = 0;
           cell.oracle_seconds =
-              time_plan_quartiles(strategy, backend, n, cell.oracle_reps).q2;
+              time_plan_quartiles(strategy, backend, n, cell.oracle_reps,
+                                  oracle_evaluations)
+                  .q2;
           ::unsetenv("WHTLAB_MODEL_ORACLE");
         }
 
@@ -217,17 +226,19 @@ int main(int argc, char** argv) {
                simd::to_string(simd::active_level()));
   std::fprintf(json,
                "  \"aggregation\": \"median wall seconds per cell and the "
-               "interquartile range over its reps; oracle = "
-               "WHTLAB_MODEL_ORACLE=1 trace walk (pre-PR engine)\",\n");
+               "interquartile range over its reps; evaluations = candidates "
+               "the planner evaluated (identical every rep); oracle = "
+               "WHTLAB_MODEL_ORACLE=1 trace walk (the replaced engine)\",\n");
   std::fprintf(json, "  \"results\": [\n");
   for (std::size_t i = 0; i < cells.size(); ++i) {
     const Cell& cell = cells[i];
     std::fprintf(json,
                  "    {\"strategy\": \"%s\", \"backend\": \"%s\", \"n\": %d, "
                  "\"plan_seconds\": %.6f, \"plan_iqr_seconds\": %.6f, "
-                 "\"reps\": %d",
+                 "\"reps\": %d, \"evaluations\": %llu",
                  cell.strategy.c_str(), cell.backend.c_str(), cell.n,
-                 cell.seconds, cell.iqr_seconds, cell.reps);
+                 cell.seconds, cell.iqr_seconds, cell.reps,
+                 static_cast<unsigned long long>(cell.evaluations));
     if (cell.oracle_seconds >= 0) {
       std::fprintf(json,
                    ", \"oracle_seconds\": %.6f, \"oracle_reps\": %d, "

@@ -55,8 +55,7 @@ bool all_finite(const double* x, std::size_t count, std::uint64_t size,
 }
 
 /// Per-vector model cost for arbitration: the backend's own model when it
-/// has one ("fused" prices memory passes), the CombinedModel at its vector
-/// width otherwise — the same pricing rule the Planner applies, minus the
+/// has one, the CombinedModel at its vector width otherwise — the same pricing rule the Planner applies, minus the
 /// search-scoped memo (entries are priced once and cached).
 double model_unit_cost(const ExecutorBackend& backend, const core::Plan& plan) {
   if (auto own = backend.cost_model()) return own(plan);
@@ -164,10 +163,7 @@ void Engine::build(Cell& cell, int n, const std::string& backend) {
       .backend(backend)
       .threads(options_.threads)
       .max_leaf(options_.max_leaf);
-  if (!options_.wisdom_file.empty()) {
-    planner.wisdom_file(options_.wisdom_file);
-    planner.calibrate(options_.calibrate);
-  }
+  planner.wisdom_file(options_.wisdom_file);  // "" = no wisdom cache
   auto transform = std::make_shared<Transform>(planner.plan(n));
   if (options_.measure_costs) {
     // Anchor to cycles so "fused" model units and CombinedModel units are

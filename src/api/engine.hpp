@@ -20,13 +20,13 @@
 //     request is routed by index with no lock and no allocation.
 //   * Serve-time backend arbitration — each registered candidate backend is
 //     priced for the request shape (single vector vs batch, size, thread
-//     budget) from its own cost_model() (host-calibrated where the backend
-//     supports it) or the CombinedModel at its vector width, anchored to
-//     measured cycles by default so cross-backend units are comparable, and
-//     scaled by ExecutorBackend::batch_factor for the batch shape.  The
-//     measure-or-model autotuning idea, applied across backends at serve
-//     time: "fused" wins big single vectors (memory passes), "simd" wins
-//     tiny-n batches (interleave), per the models — not per a hardcode.
+//     budget): a measured cycle anchor per (n, backend) by default, or
+//     its cost_model() / the CombinedModel at its vector width with
+//     measure_costs off, scaled by ExecutorBackend::batch_factor for the
+//     batch shape.  The measure-or-model autotuning idea, applied across
+//     backends at serve time: "fused" wins big single vectors (memory
+//     passes), "simd" wins tiny-n batches (interleave), per the prices —
+//     not per a hardcode.
 //   * Coalescing batcher — submit() queues the request and returns a
 //     future; a dispatcher thread merges every same-size request that
 //     arrives within a short window (or until max_batch) into ONE
@@ -82,10 +82,6 @@ struct EngineOptions {
 
   /// Wisdom file consulted/updated by first-touch planning ("" = none).
   std::string wisdom_file;
-
-  /// Host-calibrate backend cost models during first-touch planning
-  /// (requires wisdom_file; see Planner::calibrate).
-  bool calibrate = false;
 
   /// Anchor each (n, backend) model cost to measured cycles (one short
   /// measurement at first touch) so arbitration compares cycles with

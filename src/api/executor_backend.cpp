@@ -1,16 +1,17 @@
 #include "api/executor_backend.hpp"
 
 #include <algorithm>
+#include <array>
 #include <map>
 #include <mutex>
 #include <stdexcept>
 #include <utility>
 #include <vector>
 
+#include "api/planner.hpp"
 #include "core/executor.hpp"
 #include "core/parallel_executor.hpp"
 #include "core/schedule.hpp"
-#include "model/blocked_cost.hpp"
 #include "model/simd_cost.hpp"
 #include "simd/fused_executor.hpp"
 #include "simd/simd_executor.hpp"
@@ -155,13 +156,20 @@ class SimdBackend final : public ExecutorBackend {
   int threads_;
 };
 
-/// Cache-blocked stage-fused engine: plans lower to a flat blocked schedule
-/// (a property of the size and the probed cache geometry, not of the tree
-/// shape), executed by the fused SIMD kernels with scalar/strided fallback.
+/// Cache-blocked stage-fused engine.  WHT(2^n) runs one flat blocked
+/// schedule, a function of n and the host cache geometry alone: the plan
+/// passed to run() contributes only its size.  Every schedule is lowered at
+/// construction into a table indexed by n, so a run looks its schedule up
+/// without a lock.  Execution is the fused SIMD kernels with
+/// scalar/strided fallback.
 class FusedBackend final : public ExecutorBackend {
  public:
-  explicit FusedBackend(int threads)
-      : threads_(threads), blocking_(simd::detect_blocking()) {}
+  explicit FusedBackend(int threads) : threads_(threads) {
+    const core::BlockingConfig blocking = simd::detect_blocking();
+    for (int n = 1; n <= kMaxLog2Size; ++n) {
+      schedules_[static_cast<std::size_t>(n - 1)] = core::lower_size(n, blocking);
+    }
+  }
 
   const std::string& name() const override { return name_; }
 
@@ -179,73 +187,27 @@ class FusedBackend final : public ExecutorBackend {
     return simd::vector_width(simd::active_level());
   }
 
+  bool follows_plan() const override { return false; }
+
   double batch_factor(const core::Plan& /*plan*/, std::size_t count,
                       int threads) const override {
     return fanout_factor(count, std::min(threads, threads_));
   }
 
-  std::function<double(const core::Plan&)> cost_model() const override {
-    const model::BlockedCostConfig config = cost_config();
-    return [config](const core::Plan& plan) {
-      return model::blocked_cost(plan, config);
-    };
-  }
-
-  bool apply_cost_calibration(const std::string& serialized) override {
-    const auto parsed = model::BlockedCalibration::parse(serialized);
-    if (!parsed) return false;
-    calibration_ = *parsed;
-    return true;
-  }
-
-  std::optional<std::string> run_cost_calibration(
-      const std::function<double(const core::Plan&)>& measure) override {
-    // Probe sizes straddling the blocking geometry so each regime of the
-    // model (L1-resident, L2-resident, streaming) contributes fit rows.
-    const int l1 = blocking_.l1_block_log2;
-    const int l2 = blocking_.l2_block_log2;
-    std::vector<int> sizes;
-    for (int n : {l1 - 1, l1 + 1, l2 - 1, l2 + 1, l2 + 2}) {
-      n = std::max(4, std::min(n, 22));
-      if (sizes.empty() || sizes.back() != n) sizes.push_back(n);
-    }
-    while (sizes.size() < 4) sizes.push_back(sizes.back() + 1);
-    model::BlockedCostConfig base;
-    base.blocking = blocking_;
-    base.vector_width = vector_width();
-    calibration_ = model::calibrate_blocked_weights(sizes, measure, base);
-    return calibration_->serialize();
-  }
-
  private:
-  model::BlockedCostConfig cost_config() const {
-    model::BlockedCostConfig config;
-    config.blocking = blocking_;
-    config.vector_width = vector_width();
-    if (calibration_) calibration_->apply(config);
-    return config;
-  }
-
-  /// Schedules depend only on (size, blocking) — immutable derived state,
-  /// memoized under a lock so concurrent first-touch runs lower once.  The
-  /// returned reference stays valid after the lock drops: map nodes are
-  /// stable, entries are never erased or rewritten.
   const core::Schedule& schedule_for(const core::Plan& plan) const {
     const int n = plan.log2_size();
-    const std::lock_guard<std::mutex> lock(schedule_mutex_);
-    auto it = schedules_.find(n);
-    if (it == schedules_.end()) {
-      it = schedules_.emplace(n, core::lower_plan(plan, blocking_)).first;
+    if (n < 1 || n > kMaxLog2Size) {
+      throw std::invalid_argument("fused: n out of [1, " +
+                                  std::to_string(kMaxLog2Size) + "], got " +
+                                  std::to_string(n));
     }
-    return it->second;
+    return schedules_[static_cast<std::size_t>(n - 1)];
   }
 
   std::string name_ = "fused";
   int threads_;
-  core::BlockingConfig blocking_;
-  std::optional<model::BlockedCalibration> calibration_;
-  mutable std::mutex schedule_mutex_;
-  mutable std::map<int, core::Schedule> schedules_;
+  std::array<core::Schedule, kMaxLog2Size> schedules_;
 };
 
 }  // namespace

@@ -12,11 +12,9 @@
 // immutable recipe.  run()/run_many() are const and re-entrant — one
 // instance may execute any number of plans from any number of threads at
 // once — and every per-call mutable need (scratch buffers, op tallies) goes
-// through the caller-supplied wht::ExecContext.  Backends may memoize
-// derived immutable state (the "fused" backend's lowered schedules) behind
-// their own internal synchronization; they must not keep per-call state in
-// members.  The only non-const operations are the setup-time calibration
-// hooks, which callers run before sharing an instance.
+// through the caller-supplied wht::ExecContext.  Backends may hold derived
+// immutable state built at construction (the "fused" backend's lowered
+// schedules); they must not keep per-call state in members.
 //
 // Built-in keys (always registered):
 //   "generated"     sequential interpreter, build-time generated codelets
@@ -25,16 +23,17 @@
 //   "simd"          vectorized tree walk + batch-interleaved run_many with
 //                   runtime CPUID dispatch (AVX-512F / AVX2 / scalar; see
 //                   simd/simd_executor.hpp); threads fan out batch chunks
-//   "fused"         cache-blocked stage-fused schedule engine: plans lower
-//                   to flat blocked passes (core/schedule.hpp) run by the
-//                   fused SIMD kernels (simd/fused_executor.hpp) — the
-//                   memory-bound big-n engine; threads fan out batch chunks
+//   "fused"         cache-blocked stage-fused schedule engine: WHT(2^n)
+//                   runs one flat blocked schedule fixed by n and the host
+//                   cache geometry (core/schedule.hpp), whatever the plan,
+//                   on the fused SIMD kernels (simd/fused_executor.hpp) —
+//                   the memory-bound big-n engine; threads fan out batch
+//                   chunks
 #pragma once
 
 #include <cstddef>
 #include <functional>
 #include <memory>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -52,10 +51,10 @@ struct BackendOptions {
   core::CodeletBackend codelets = core::CodeletBackend::kGenerated;
 };
 
-/// One way of running a plan.  Instances are immutable after construction
-/// (and after the optional setup-time calibration): run() and run_many() are
-/// const, re-entrant, and safe to invoke concurrently — per-call mutable
-/// state lives in the ExecContext the caller passes in.
+/// One way of running a plan.  Instances are immutable after construction:
+/// run() and run_many() are const, re-entrant, and safe to invoke
+/// concurrently — per-call mutable state lives in the ExecContext the
+/// caller passes in.
 class ExecutorBackend {
  public:
   virtual ~ExecutorBackend() = default;
@@ -101,12 +100,18 @@ class ExecutorBackend {
   /// pricing by overriding this, not by being named "simd".
   virtual int vector_width() const { return 1; }
 
-  /// Optional full replacement for the Planner's model-driven pricing: a
-  /// callable mapping a candidate plan to this backend's model cost, or an
-  /// empty function (the default) to use the CombinedModel at
-  /// vector_width().  Backends whose execution does not follow the tree
-  /// walk override this — "fused" prices lowered schedules (memory passes,
-  /// not just butterflies; model/blocked_cost.hpp).
+  /// Whether the plan's tree shape decides how this backend executes.  A
+  /// backend returning false runs every plan of one size identically, so
+  /// the Planner has nothing to search for it: every searching strategy
+  /// returns Plan::iterative_radix(n, max_leaf) with no evaluation ("fused",
+  /// whose schedule is a function of n and the host cache geometry).
+  virtual bool follows_plan() const { return true; }
+
+  /// Optional full replacement for the model-driven pricing of the Planner
+  /// and the Engine's arbiter: a callable mapping a plan to this backend's
+  /// model cost, or an empty function (the default, kept by every built-in)
+  /// to use the CombinedModel at vector_width().  Custom backends whose cost
+  /// the tree-walk model does not describe override this.
   virtual std::function<double(const core::Plan&)> cost_model() const {
     return {};
   }
@@ -124,23 +129,6 @@ class ExecutorBackend {
     (void)count;
     (void)threads;
     return 1.0;
-  }
-
-  /// Host calibration of the backend's own cost model (backends without one
-  /// return false / nullopt and are skipped).  run_cost_calibration measures
-  /// probe plans through `measure` (cycles), fits the model's parameters,
-  /// applies them to this instance, and returns the fit in a serialized form
-  /// suitable for a wisdom property; apply_cost_calibration restores such a
-  /// fit without measuring (the next process's fast path).  The Planner
-  /// drives both when calibrate() is enabled — see api/planner.hpp.  These
-  /// are the contract's only mutating operations: setup-time, before the
-  /// instance is shared, never concurrent with run().
-  virtual bool apply_cost_calibration(const std::string& /*serialized*/) {
-    return false;
-  }
-  virtual std::optional<std::string> run_cost_calibration(
-      const std::function<double(const core::Plan&)>& /*measure*/) {
-    return std::nullopt;
   }
 };
 

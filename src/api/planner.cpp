@@ -22,8 +22,7 @@ namespace {
 constexpr int kMaxExhaustive = 8;
 
 /// Model-driven pricing for the backend the Transform will own: a backend
-/// supplying its own cost_model() (e.g. "fused", which prices memory
-/// passes of the lowered schedule) is taken at its word; otherwise the
+/// supplying its own cost_model() is taken at its word; otherwise the
 /// CombinedModel prices the tree walk, with vectorized backends ("simd"
 /// and any custom backend overriding vector_width()) priced at their
 /// vector width and everything else at scalar counts.  `cache` memoizes
@@ -129,39 +128,20 @@ Planner& Planner::wisdom_file(std::string path) {
   return *this;
 }
 
-Planner& Planner::calibrate(bool enabled) {
-  calibrate_ = enabled;
-  return *this;
-}
-
-void Planner::ensure_calibrated(ExecutorBackend& backend,
-                                PlanningInfo& info) const {
-  if (!calibrate_ || wisdom_file_.empty()) return;
-  WisdomRegistry& registry = WisdomRegistry::global();
-  const std::string property = "calibration/" +
-                               std::string(simd::to_string(simd::active_level())) +
-                               "/" + backend.name();
-  if (const auto stored = registry.property(wisdom_file_, property)) {
-    if (backend.apply_cost_calibration(*stored)) {
-      info.calibrated = true;
-      return;
-    }
-    // Unparseable stored fit (truncated file, older format): fall through
-    // and re-measure — the fresh fit overwrites the bad property instead of
-    // disabling calibration for every future process.
-  }
-  const perf::MeasureOptions& measure = measure_;
-  const auto measured = [&measure, &backend](const core::Plan& probe) {
-    return measure_with_backend(backend, probe, measure).cycles();
-  };
-  const auto fit = backend.run_cost_calibration(measured);
-  if (!fit) return;  // backend has nothing to calibrate
-  registry.set_property(wisdom_file_, property, *fit);
-  info.calibrated = true;
-}
-
 core::Plan Planner::search_plan(int n, ExecutorBackend& backend,
                                 PlanningInfo& info) const {
+  if (strategy_ == Strategy::kExhaustive && n > kMaxExhaustive) {
+    throw std::invalid_argument(
+        "Planner: exhaustive strategy is practical only for n <= " +
+        std::to_string(kMaxExhaustive) + ", got n = " + std::to_string(n) +
+        " (use kMeasure or kSampled)");
+  }
+  if (strategy_ != Strategy::kFixed && !backend.follows_plan()) {
+    // Every plan of this size runs identically on this backend, so there
+    // is nothing to price or measure: evaluations and cost stay 0.
+    return core::Plan::iterative_radix(n, max_leaf_);
+  }
+
   // Candidates are timed through the backend the Transform will own, so a
   // plan autotuned with threads(8) is the winner under fork-join execution,
   // not under the sequential interpreter.
@@ -210,12 +190,6 @@ core::Plan Planner::search_plan(int n, ExecutorBackend& backend,
       return result.plan;
     }
     case Strategy::kExhaustive: {
-      if (n > kMaxExhaustive) {
-        throw std::invalid_argument(
-            "Planner: exhaustive strategy is practical only for n <= " +
-            std::to_string(kMaxExhaustive) + ", got n = " + std::to_string(n) +
-            " (use kMeasure or kSampled)");
-      }
       const auto result = search::exhaustive_search(n, measured_cost, max_leaf_);
       info.evaluations = result.evaluated;
       info.cost = result.best_cost;
@@ -311,7 +285,6 @@ Transform Planner::plan(int n) const {
       info.from_wisdom = true;
       return Transform(*hit, std::move(backend), info);
     }
-    ensure_calibrated(*backend, info);
     core::Plan chosen = search_plan(n, *backend, info);
     registry.insert(wisdom_file_, key, chosen);
     return Transform(std::move(chosen), std::move(backend), info);

@@ -29,6 +29,11 @@
 // (model/simd_cost.hpp) instead of scalar counts.  The measuring strategies
 // get this for free — candidates are timed through the chosen backend.
 //
+// A backend whose execution ignores the tree shape
+// (ExecutorBackend::follows_plan() == false, e.g. "fused") has nothing to
+// search: every strategy but kFixed returns Plan::iterative_radix(n,
+// max_leaf) without pricing or measuring a candidate.
+//
 // Execution is delegated to an ExecutorBackend resolved by name from the
 // BackendRegistry; threads(>1) defaults the backend to "parallel".
 #pragma once
@@ -119,17 +124,6 @@ class Planner {
   /// kFixed never consults it.
   Planner& wisdom_file(std::string path);
 
-  /// One-shot on-host cost-model calibration (default off).  When enabled
-  /// together with wisdom_file(), plan(n) ensures the backend's own cost
-  /// model is calibrated to this host before any model-driven search: a fit
-  /// stored under the wisdom property "calibration/<cpu>/<backend>" is
-  /// applied directly; otherwise the backend measures its probe plans once
-  /// (ExecutorBackend::run_cost_calibration) and the fit is persisted for
-  /// every later process.  Backends without a calibratable model ("simd",
-  /// "generated", ...) are unaffected.  The "fused" backend fits its sweep
-  /// weights this way (model::calibrate_blocked_weights).
-  Planner& calibrate(bool enabled);
-
   /// Plans WHT(2^n) and returns the executable Transform.  Throws
   /// std::invalid_argument on bad arguments (n out of range, unknown
   /// backend, kFixed size mismatch, kExhaustive size too large).
@@ -140,7 +134,6 @@ class Planner {
 
  private:
   core::Plan search_plan(int n, ExecutorBackend& backend, PlanningInfo& info) const;
-  void ensure_calibrated(ExecutorBackend& backend, PlanningInfo& info) const;
 
   Strategy strategy_ = Strategy::kEstimate;
   std::string backend_;  ///< empty = auto
@@ -156,7 +149,6 @@ class Planner {
   perf::MeasureOptions measure_{};
   core::Plan fixed_;
   std::string wisdom_file_;  ///< empty = no wisdom cache
-  bool calibrate_ = false;
 };
 
 }  // namespace whtlab::api

@@ -288,22 +288,6 @@ void WisdomRegistry::insert(const std::string& path, const Wisdom::Key& key,
   state.flush(path, cached);
 }
 
-std::optional<std::string> WisdomRegistry::property(const std::string& path,
-                                                    const std::string& key) {
-  Impl& state = impl();
-  const std::lock_guard<std::mutex> lock(state.mutex);
-  return state.fresh(path).wisdom.property(key);
-}
-
-void WisdomRegistry::set_property(const std::string& path,
-                                  const std::string& key, std::string value) {
-  Impl& state = impl();
-  const std::lock_guard<std::mutex> lock(state.mutex);
-  Impl::CachedFile& cached = state.fresh(path);
-  cached.wisdom.set_property(key, std::move(value));
-  state.flush(path, cached);
-}
-
 void WisdomRegistry::flush(const std::string& path) {
   Impl& state = impl();
   const std::lock_guard<std::mutex> lock(state.mutex);

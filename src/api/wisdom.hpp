@@ -14,10 +14,11 @@
 //   # whtlab wisdom v1
 //   avx512<TAB>16<TAB>measure<TAB>simd<TAB>split[small[4],...]
 //
-// Besides plans, a file can carry free-form *properties* — host-calibrated
-// model parameters and the like — as `@prop<TAB>key<TAB>value` lines (the
-// blocked model's sweep-weight calibration persists this way; see
-// model/blocked_cost.hpp).
+// Besides plans, a file can carry free-form *properties* as
+// `@prop<TAB>key<TAB>value` lines.  This build writes none, but files
+// shared with older builds carry `calibration/...` properties; loading
+// parses them and every merge-save keeps them, so no writer drops another's
+// lines.
 //
 // Hook it up with Planner::wisdom_file(path): lookups hit before any
 // search; misses run the strategy and append the winner.
@@ -97,8 +98,8 @@ class Wisdom {
   /// Inserts or replaces the entry for `key`.
   void insert(const Key& key, core::Plan plan);
 
-  /// Free-form properties (`@prop` lines): calibration results and other
-  /// per-host facts that ride along with the plans.
+  /// Free-form properties (`@prop` lines): per-host facts that ride along
+  /// with the plans and survive every merge.
   std::optional<std::string> property(const std::string& key) const;
   void set_property(const std::string& key, std::string value);
 
@@ -137,12 +138,6 @@ class WisdomRegistry {
   /// entries.
   void insert(const std::string& path, const Wisdom::Key& key,
               core::Plan plan);
-
-  /// Property access with the same load/merge/save discipline.
-  std::optional<std::string> property(const std::string& path,
-                                      const std::string& key);
-  void set_property(const std::string& path, const std::string& key,
-                    std::string value);
 
   /// Best-effort durability barrier: re-merges the cached in-memory state
   /// for `path` over the current on-disk file and saves atomically (no-op

@@ -27,8 +27,10 @@
 // Execution contract: a Schedule is immutable once lowered and
 // execute_schedule is a pure in-place interpreter over it — re-entrant,
 // shareable across threads on disjoint data with no locking.  The "fused"
-// backend memoizes one Schedule per size and serves it concurrently on
-// exactly this guarantee (api/executor_backend.cpp).
+// backend lowers one Schedule per size at construction and serves it
+// concurrently on exactly this guarantee (api/executor_backend.cpp): its
+// execution is a function of n and the cache geometry, never of the plan,
+// so the Planner does not search plans for it.
 #pragma once
 
 #include <cstddef>
@@ -71,9 +73,9 @@ struct Schedule {
 };
 
 /// Cache geometry the blocker targets.  Defaults describe a generic x86
-/// (16 KiB L1 working block, 1 MiB L2 block); simd::detect_blocking() probes
-/// the host and honours WHTLAB_FUSED_L1_LOG2 / WHTLAB_FUSED_L2_LOG2
-/// overrides.  All sizes are log2 counts of doubles.
+/// (16 KiB L1 working block, 1 MiB L2 block); simd::detect_blocking()
+/// derives the host's from its probed caches.  All sizes are log2 counts of
+/// doubles.
 struct BlockingConfig {
   int unit_log2 = kMaxUnrolled;  ///< contiguous base-pass size (codelet ceiling)
   int max_radix_log2 = 3;        ///< widest in-cache strided pass (radix-8)
@@ -103,7 +105,7 @@ Schedule lower_plan(const Plan& plan, const BlockingConfig& config = {});
 Schedule lower_size(int n, const BlockingConfig& config = {});
 
 /// Number of top-level rounds = full-array memory sweeps the schedule
-/// performs (the quantity the blocked cost model prices).
+/// performs.
 int sweep_count(const Schedule& schedule);
 
 /// Scalar interpreter: executes `schedule` in place on the 2^n elements

@@ -10,7 +10,8 @@
 // (transform or unit pass smaller than a vector) fall back to the scalar
 // schedule interpreter — the parity reference.
 //
-// This is the execution engine behind the "fused" backend, and the layer
+// This is the execution engine behind the "fused" backend (which lowers one
+// schedule per size at construction, from detect_blocking()), and the layer
 // future big-n backends (sharded/NUMA, GPU) lower through: they consume the
 // same core::Schedule, swapping only the per-pass kernels.
 #pragma once
@@ -24,9 +25,9 @@ namespace whtlab::simd {
 
 /// Blocking geometry for this host: L1/L2 block sizes derived from the
 /// probed cache_sizes() (half of each level, in doubles), defaults where a
-/// level is unknown.  WHTLAB_FUSED_L1_LOG2 / WHTLAB_FUSED_L2_LOG2 /
-/// WHTLAB_FUSED_STREAM_RADIX override the computed values (the ablation /
-/// cross-machine knobs).
+/// level is unknown.  Together with n this fixes the schedule the "fused"
+/// backend runs; tests and benches that want another geometry pass an
+/// explicit core::BlockingConfig to core::lower_size.
 core::BlockingConfig detect_blocking();
 
 /// Executes `schedule` in place on the 2^n elements x[0], x[stride], ...

@@ -90,6 +90,18 @@ TEST(EngineAllocation, WarmServePathAllocatesNothing) {
   }
 }
 
+TEST(EngineAllocation, WarmFusedServePathAllocatesNothing) {
+  if (!WHTLAB_COUNT_ALLOCATIONS) GTEST_SKIP() << "sanitizer allocator";
+  // "fused" alone: its schedule lookup is an index into a table lowered at
+  // construction, so a warmed request neither locks nor allocates.
+  EngineOptions options;
+  options.backends = {"fused"};
+  Engine engine(options);
+  for (const int n : {6, 10}) {
+    EXPECT_EQ(serve_allocations(engine, n, kCalls), 0u) << "n=" << n;
+  }
+}
+
 TEST(EngineAllocation, ArmedBreakerAllocatesOnlyTheInputSnapshot) {
   if (!WHTLAB_COUNT_ALLOCATIONS) GTEST_SKIP() << "sanitizer allocator";
   // The daemon's defaults.  "generated" is left out of the candidates so

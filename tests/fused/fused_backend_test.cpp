@@ -10,9 +10,13 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "api/wht.hpp"
+#include "api/wisdom.hpp"
 #include "core/executor.hpp"
 #include "core/plan.hpp"
 #include "core/schedule.hpp"
@@ -222,20 +226,97 @@ TEST(FusedBackendFacade, ExecuteCopyMatchesGenerated) {
   EXPECT_EQ(out_fused, out_scalar);
 }
 
-TEST(FusedBackendFacade, SuppliesItsOwnCostModelToThePlanner) {
+TEST(FusedBackendFacade, EverySearchingStrategyPlansWithoutEvaluating) {
+  // "fused" runs every plan of a size identically, so no strategy has a
+  // candidate worth pricing or measuring: each returns iterative_radix at
+  // the planner's leaf cap with zero evaluations and zero cost.
+  perf::MeasureOptions cheap;
+  cheap.warmup = 0;
+  cheap.repetitions = 1;
+  for (const api::Strategy strategy :
+       {api::Strategy::kEstimate, api::Strategy::kMeasure,
+        api::Strategy::kExhaustive, api::Strategy::kSampled,
+        api::Strategy::kAnneal}) {
+    for (const int n : {1, 6, 8, 12, 20, 26}) {
+      if (strategy == api::Strategy::kExhaustive && n > 8) continue;
+      for (const int max_leaf : {core::kMaxUnrolled, 4}) {
+        const auto t = api::Planner()
+                           .strategy(strategy)
+                           .backend("fused")
+                           .max_leaf(max_leaf)
+                           .measure_options(cheap)
+                           .plan(n);
+        const auto& info = t.planning();
+        EXPECT_EQ(info.evaluations, 0u)
+            << api::to_string(strategy) << " n=" << n;
+        EXPECT_EQ(info.cost, 0.0) << api::to_string(strategy) << " n=" << n;
+        EXPECT_EQ(t.plan().to_string(),
+                  core::Plan::iterative_radix(n, max_leaf).to_string())
+            << api::to_string(strategy) << " n=" << n;
+      }
+    }
+  }
+  // kExhaustive keeps its size guard on every backend.
+  EXPECT_THROW(
+      api::Planner().strategy(api::Strategy::kExhaustive).backend("fused").plan(9),
+      std::invalid_argument);
+  // kFixed keeps the caller's plan.
+  const core::Plan pinned = core::Plan::balanced_binary(12, 4);
+  EXPECT_EQ(api::Planner().fixed(pinned).backend("fused").plan().plan().to_string(),
+            pinned.to_string());
+}
+
+TEST(FusedBackendFacade, PlannedOutputsMatchGeneratedAtEveryLevel) {
+  for (const SimdLevel level : dispatchable_levels()) {
+    const ForcedLevel forced(level);
+    for (int n = 1; n <= 20; ++n) {
+      const auto fused_t = api::Planner().backend("fused").plan(n);
+      const auto reference = api::Planner().fixed(fused_t.plan()).plan();
+      std::vector<double> in(fused_t.size());
+      util::Rng rng(static_cast<std::uint64_t>(n) * 17 + 5);
+      for (auto& v : in) v = rng.uniform(-1, 1);
+      ASSERT_EQ(fused_t.apply(in), reference.apply(in))
+          << "level=" << to_string(level) << " n=" << n;
+    }
+  }
+}
+
+TEST(FusedBackendFacade, WisdomRecordsTheShapeForPrewarm) {
+  // Skipping the search must not skip the wisdom insert: the recorded key
+  // is what lets Engine::prewarm (and whtd --prewarm) rebuild the shape.
+  const std::string path = ::testing::TempDir() + "fused_prewarm_wisdom.txt";
+  std::remove(path.c_str());
+  api::WisdomRegistry::global().invalidate(path);
+
+  const auto t = api::Planner().backend("fused").wisdom_file(path).plan(14);
+  EXPECT_FALSE(t.planning().from_wisdom);
+  const api::Wisdom::Key key{to_string(active_level()), 14, "estimate", "fused"};
+  const api::Wisdom recorded_wisdom = api::Wisdom::load(path);
+  const core::Plan* recorded = recorded_wisdom.lookup(key);
+  ASSERT_NE(recorded, nullptr);
+  EXPECT_EQ(recorded->to_string(), t.plan().to_string());
+
+  const auto again = api::Planner().backend("fused").wisdom_file(path).plan(14);
+  EXPECT_TRUE(again.planning().from_wisdom);
+
+  api::EngineOptions options;
+  options.backends = {"fused"};
+  options.wisdom_file = path;
+  options.measure_costs = false;
+  api::Engine engine(options);
+  EXPECT_EQ(engine.prewarm(), 1u);
+  std::remove(path.c_str());
+}
+
+TEST(FusedBackendFacade, RejectsSizesAboveThePlannerBound) {
   auto backend = api::BackendRegistry::global().create("fused");
-  const auto model = backend->cost_model();
-  ASSERT_TRUE(static_cast<bool>(model));
-  // Pass-count pricing: beyond-L2 sizes cost strictly more per point than
-  // in-cache ones, and two shapes of one size price identically.
-  const double small = model(core::Plan::iterative(10));
-  const double big = model(core::Plan::iterative(22));
-  EXPECT_GT(big, small);
-  EXPECT_EQ(model(core::Plan::iterative(14)),
-            model(core::Plan::balanced_binary(14, 4)));
-  // kEstimate planning through the hook works end to end.
-  auto t = api::Planner().backend("fused").plan(16);
-  EXPECT_TRUE(t.plan().valid());
+  const core::Plan too_big = core::Plan::iterative_radix(api::kMaxLog2Size + 1,
+                                                         core::kMaxUnrolled);
+  // The size check fires before the buffer is touched.
+  EXPECT_THROW(backend->run(too_big, nullptr), std::invalid_argument);
+  EXPECT_THROW(backend->run_many(too_big, nullptr, 2,
+                                 static_cast<std::ptrdiff_t>(too_big.size())),
+               std::invalid_argument);
 }
 
 TEST(FusedBackendFacade, ThreadsFanOutBatchChunks) {

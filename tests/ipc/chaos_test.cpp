@@ -185,6 +185,50 @@ TEST(IpcChaos, VerifyingClientsSurviveDaemonKillRestartCycles) {
   ASSERT_EQ(::waitpid(final_daemon, &status, 0), final_daemon);
 }
 
+/// True once the endpoint's current slot table holds a kActive slot owned
+/// by `pid` — i.e. that client has handshaken with the daemon now serving
+/// the endpoint.  Read-only mapping, re-opened per poll so it always sees
+/// the segment the name currently points at.
+bool holds_active_slot(const std::string& endpoint, pid_t pid) {
+  try {
+    const Shm view = Shm::open_readonly(shm_name_for(endpoint));
+    if (view.size() < sizeof(ControlHeader)) return false;
+    const auto* header = static_cast<const ControlHeader*>(view.data());
+    if (header->magic != kMagic) return false;
+    Layout layout;
+    layout.slot_count = header->slot_count;
+    layout.arena_doubles = header->arena_doubles;
+    if (view.size() < layout.total_bytes()) return false;
+    for (std::uint32_t s = 0; s < layout.slot_count; ++s) {
+      const SlotShared* cell = layout.slot(view.data(), s);
+      if (cell->state.load(std::memory_order_acquire) == kActive &&
+          cell->pid.load(std::memory_order_acquire) ==
+              static_cast<std::uint32_t>(pid)) {
+        return true;
+      }
+    }
+  } catch (const std::exception&) {
+    // Name missing or mid-swap: not attached yet.
+  }
+  return false;
+}
+
+/// Reclaimed-slot count of the daemon now serving the endpoint (read-only;
+/// 0 while the name is missing).
+std::uint64_t reclaimed_count(const std::string& endpoint) {
+  try {
+    const Shm view = Shm::open_readonly(shm_name_for(endpoint));
+    if (view.size() < sizeof(ControlHeader)) return 0;
+    const auto* header = static_cast<const ControlHeader*>(view.data());
+    if (header->magic != kMagic) return 0;
+    return header->stats.reclaimed.load(std::memory_order_relaxed);
+  } catch (const std::exception&) {
+    return 0;
+  }
+}
+
+constexpr int kReplaySweepMs = 25;
+
 /// Daemon child body for the crash-during-replay test: no fault injection
 /// (the chaos here is all process death), fast sweep so reclamation latency
 /// is visible inside the test budget.
@@ -193,7 +237,7 @@ void run_replay_daemon(const std::string& endpoint) {
     DaemonOptions options;
     options.endpoint = endpoint;
     options.slots = 8;
-    options.sweep_ms = 25;
+    options.sweep_ms = kReplaySweepMs;
     Daemon daemon(options);
     daemon.start();
     for (;;) ::pause();  // until SIGKILL
@@ -234,14 +278,22 @@ TEST(IpcChaos, ClientKilledDuringReplayIsSweptAndNeighboursStayExact) {
   int status = 0;
   ASSERT_EQ(::waitpid(daemon1, &status, 0), daemon1);
 
-  // Daemon 2 takes the stale segment over; the clients' 2 ms initial
-  // backoff means they re-handshake and replay almost immediately — which
-  // is exactly when the victim dies.
+  // Daemon 2 takes the stale segment over (a fresh segment: the slot table
+  // starts empty).  A client notices the loss on its next request, up to
+  // one 100 ms pacing gap after daemon 2 appears, then re-handshakes and
+  // replays.  Kill the victim only once daemon 2's slot table shows it
+  // attached — before that there is no slot, so no corpse to sweep.
   const pid_t daemon2 = ::fork();
   ASSERT_GE(daemon2, 0);
   if (daemon2 == 0) run_replay_daemon(endpoint);
   ASSERT_TRUE(Client::wait_for_daemon(endpoint, 15000));
-  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  const auto attach_deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (!holds_active_slot(endpoint, victim)) {
+    ASSERT_LT(std::chrono::steady_clock::now(), attach_deadline)
+        << "the victim never re-handshook with daemon 2";
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
   ASSERT_EQ(::kill(victim, SIGKILL), 0);
   ASSERT_EQ(::waitpid(victim, &status, 0), victim);
   ASSERT_TRUE(WIFSIGNALED(status) && WTERMSIG(status) == SIGKILL);
@@ -253,9 +305,18 @@ TEST(IpcChaos, ClientKilledDuringReplayIsSweptAndNeighboursStayExact) {
       << "(10=no daemon, 12=too few completions, 13=exception, "
          "42=CORRUPTION)";
 
-  // Sweep latency: well within a few sweep_ms periods the victim's corpse
-  // is reclaimed and its slot serves a fresh tenant.
-  std::this_thread::sleep_for(std::chrono::milliseconds(200));
+  // Sweep latency: the victim's corpse is reclaimed within a bounded
+  // number of sweep periods, and its slot serves a fresh tenant.  The
+  // deadline is generous (loaded CI hosts deschedule the daemon), but it is
+  // counted in sweep periods, not a fixed sleep.
+  constexpr int kSweepPeriods = 200;
+  const auto sweep_deadline =
+      std::chrono::steady_clock::now() +
+      std::chrono::milliseconds(kSweepPeriods * kReplaySweepMs);
+  while (reclaimed_count(endpoint) == 0 &&
+         std::chrono::steady_clock::now() < sweep_deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(kReplaySweepMs));
+  }
   {
     auto probe = Client::connect({.endpoint = endpoint});
     EXPECT_GT(probe.stats().reclaimed, 0u)

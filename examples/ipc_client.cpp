@@ -153,11 +153,11 @@ int main(int argc, char** argv) {
     std::printf("%d/%d requests ok (%zu vectors each)%s, %llu reconnects\n",
                 ok, requests, count, verify ? ", all bit-exact" : "",
                 static_cast<unsigned long long>(client.reconnects()));
-    std::printf("daemon: requests=%llu vectors=%llu throttled=%llu "
+    std::printf("daemon: requests=%llu vectors=%llu credit_stalls=%llu "
                 "reclaimed=%llu\n",
                 (unsigned long long)stats.requests,
                 (unsigned long long)stats.vectors,
-                (unsigned long long)stats.throttled,
+                (unsigned long long)stats.credit_stalls,
                 (unsigned long long)stats.reclaimed);
   } catch (const ipc::Error& e) {
     std::fprintf(stderr, "ipc_client: %s\n", e.what());

@@ -82,26 +82,9 @@ Engine::Engine(EngineOptions options) : options_(std::move(options)) {
   if (options_.quarantine_strikes > 0 && options_.probation_ms < 1) {
     throw std::invalid_argument("wht::Engine: probation_ms must be >= 1");
   }
-  if (options_.reanchor_blend < 0.0 || options_.reanchor_blend > 1.0) {
-    throw std::invalid_argument(
-        "wht::Engine: reanchor_blend must be in [0, 1]");
-  }
-  if (options_.drift_demote_factor < 0.0) {
-    throw std::invalid_argument(
-        "wht::Engine: drift_demote_factor must be >= 0");
-  }
-  if (options_.drift_demote_factor > 0.0 && options_.probation_ms < 1) {
-    throw std::invalid_argument(
-        "wht::Engine: drift demotion needs probation_ms >= 1");
-  }
-  // WHTLAB_TELEMETRY=0 reproduces pre-telemetry behavior exactly: no
-  // recording, no re-anchoring, no drift demotion.
+  // WHTLAB_TELEMETRY=0 turns recording off; nothing else reads the series.
   if (util::env_int("WHTLAB_TELEMETRY", options_.telemetry ? 1 : 0) == 0) {
     options_.telemetry = false;
-  }
-  if (!options_.telemetry) {
-    options_.reanchor_min_samples = 0;
-    options_.drift_demote_factor = 0.0;
   }
   telemetry_.set_decay_window(options_.telemetry_decay_window);
   candidates_ = options_.backends;
@@ -247,27 +230,12 @@ Engine::Route Engine::route(int n, std::size_t count,
       if (honour_quarantine && quarantine_blocked(columns_[c])) continue;
       try {
         Cell& cell = built(n, c);
-        // Per-vector price for this shape: the first-touch anchor (scaled
-        // by batch_factor for the batch path), re-anchored toward the live
-        // decayed mean of the *same shape's* series once it holds enough
-        // samples — so a backend whose measured-at-first-touch cost has
-        // drifted is repriced from what it actually costs now.
+        // Per-vector price for this shape: the first-touch anchor, scaled
+        // by batch_factor for the batch path.
         double per_vector = cell.unit_cost;
         if (count > 1) {
           per_vector *= cell.transform->backend().batch_factor(
               cell.transform->plan(), count, options_.threads);
-        }
-        if (options_.reanchor_min_samples > 0) {
-          telemetry::Accumulator* live =
-              count > 1 ? cell.telem_batch : cell.telem_single;
-          if (live != nullptr &&
-              live->count() >= options_.reanchor_min_samples) {
-            const double mean = live->mean();
-            if (mean > 0.0) {
-              per_vector = options_.reanchor_blend * mean +
-                           (1.0 - options_.reanchor_blend) * per_vector;
-            }
-          }
         }
         const double cost = per_vector * static_cast<double>(count);
         if (ranking != nullptr) ranking->push_back({candidates_[c], cost});
@@ -333,25 +301,6 @@ void Engine::on_backend_success(Column& column) {
   column.until_ns.store(0, std::memory_order_release);
 }
 
-void Engine::maybe_demote_for_drift(Column& column, Cell& cell) {
-  // The comparison needs both sides in cycles: a measured anchor and enough
-  // live samples for the p99 to mean something.
-  if (!options_.measure_costs || options_.reanchor_min_samples == 0) return;
-  if (cell.telem_single == nullptr || cell.unit_cost <= 0.0) return;
-  if (cell.telem_single->count() < options_.reanchor_min_samples) return;
-  const double p99 = cell.telem_single->percentile(0.99);
-  if (p99 <= options_.drift_demote_factor * cell.unit_cost) return;
-  {
-    const std::lock_guard<std::mutex> lock(health_mutex_);
-    // Already demoted: probation owns re-entry.
-    if (column.until_ns.load(std::memory_order_relaxed) != 0) return;
-    trip(column);
-  }
-  // Fresh epoch for the series: the post-probation probe is judged on new
-  // observations, not on the degraded history that tripped this demotion.
-  cell.telem_single->reset();
-}
-
 std::size_t Engine::run_guarded(const Route& route, int n, double* x,
                                 std::size_t count, std::ptrdiff_t dist,
                                 ExecContext* ctx) {
@@ -414,18 +363,11 @@ std::size_t Engine::run_guarded(const Route& route, int n, double* x,
     failed = true;
   }
   if (!failed) {
-    // Success bookkeeping first: if this request was a post-probation
-    // probe, it clears the quarantine *before* the drift check below can
-    // legitimately re-trip it on fresh evidence.
-    if (health_armed() && route.column != fallback_) {
+    // A post-probation probe that succeeds clears the quarantine.
+    if (options_.quarantine_strikes > 0 && route.column != fallback_) {
       on_backend_success(column);
     }
-    if (telem != nullptr) {
-      telem->record(elapsed / count);
-      if (count == 1 && options_.drift_demote_factor > 0.0) {
-        maybe_demote_for_drift(column, *route.cell);
-      }
-    }
+    if (telem != nullptr) telem->record(elapsed / count);
     return route.column;
   }
   on_backend_failure(column);
@@ -444,7 +386,6 @@ std::size_t Engine::run_guarded(const Route& route, int n, double* x,
 void Engine::record(std::size_t column, std::uint64_t vectors, bool batch,
                     bool from_submit) {
   constexpr auto relaxed = std::memory_order_relaxed;
-  counters_.vectors.fetch_add(vectors, relaxed);
   if (batch) {
     counters_.batches.fetch_add(1, relaxed);
     if (from_submit && vectors >= 2) {
@@ -611,7 +552,6 @@ telemetry::Snapshot Engine::telemetry_snapshot() const {
 Engine::Stats Engine::stats() const {
   constexpr auto relaxed = std::memory_order_relaxed;
   Stats snapshot;
-  snapshot.vectors = counters_.vectors.load(relaxed);
   snapshot.singles = counters_.singles.load(relaxed);
   snapshot.submitted = counters_.submitted.load(relaxed);
   snapshot.batches = counters_.batches.load(relaxed);
@@ -623,6 +563,7 @@ Engine::Stats Engine::stats() const {
     const Column& column = columns_[c];
     if (const std::uint64_t v = column.vectors.load(relaxed); v > 0) {
       snapshot.per_backend[column.name] += v;
+      snapshot.vectors += v;
     }
     if (column.trips > 0) snapshot.quarantine_trips[column.name] = column.trips;
     if (column.until_ns.load(relaxed) != 0) {

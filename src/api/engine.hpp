@@ -121,38 +121,17 @@ struct EngineOptions {
 
   /// Online telemetry: every served request records its observed
   /// cycles-per-vector into a per-(n, backend, single/batch) accumulator
-  /// table (telemetry/registry.hpp), exported via telemetry_snapshot().
-  /// Recording is a handful of relaxed atomic ops per request; the
-  /// WHTLAB_TELEMETRY=0 environment knob (applied at construction) turns it
-  /// off, which also disables re-anchoring and drift demotion below.
+  /// table (telemetry/registry.hpp), exported via telemetry_snapshot() and
+  /// whtd's stats page.  Observation only: arbitration prices from the
+  /// static first-touch anchors, and only serving failures (never
+  /// slowness) trip the breaker.  Recording is a handful of relaxed atomic
+  /// ops per request; the WHTLAB_TELEMETRY=0 environment knob (applied at
+  /// construction) turns it off.
   bool telemetry = true;
 
   /// Records per stripe between histogram halvings — the EWMA horizon of
   /// the live series (accumulator.hpp).  0 = never decay (lifetime stats).
   std::uint64_t telemetry_decay_window = 4096;
-
-  /// Live re-anchoring: once a series holds at least this many
-  /// observations, the arbiter prices that (shape, backend) from a blend of
-  /// the live decayed mean and the first-touch anchor instead of the anchor
-  /// alone — the paper's measure-don't-model lesson applied continuously at
-  /// serve time.  0 (default) never re-anchors: arbitration is exactly the
-  /// pre-telemetry behavior.  Only meaningful with measure_costs (anchors
-  /// must be in cycles for the blend to be unit-consistent).
-  std::uint64_t reanchor_min_samples = 0;
-
-  /// Weight of the live mean in the re-anchored price (0 = anchor only,
-  /// 1 = live only).
-  double reanchor_blend = 0.5;
-
-  /// Drift circuit breaker: demote a backend whose live single-vector p99
-  /// exceeds this factor times its first-touch anchor (frequency scaling,
-  /// cache pressure, co-tenancy...), using the quarantine/probation
-  /// machinery — the arbiter stops routing to it for probation_ms, then
-  /// lets live traffic re-probe it against a reset series.  0 (default)
-  /// never demotes.  Like re-anchoring, requires telemetry + measure_costs;
-  /// checked once the series holds reanchor_min_samples observations (which
-  /// must be > 0 for the check to arm).
-  double drift_demote_factor = 0.0;
 };
 
 class Engine {
@@ -285,7 +264,8 @@ class Engine {
     telemetry::Accumulator* telem_batch = nullptr;
   };
 
-  /// One backend's column: its circuit breaker and its vector count.
+  /// One backend's column: its circuit breaker and its vector count (the
+  /// one source of Stats::vectors, which stats() sums over the columns).
   /// `until_ns` is 0 while the backend is healthy and its re-probe time
   /// while quarantined, so routing reads one atomic and never locks.
   /// health_mutex_ serialises the writers (a strike, a trip, a clear);
@@ -296,13 +276,12 @@ class Engine {
     std::atomic<std::uint64_t> until_ns{0};
     std::atomic<int> strikes{0};  ///< consecutive serving-time failures
     std::uint64_t trips = 0;      ///< times tripped; guarded by health_mutex_
-    std::atomic<std::uint64_t> vectors{0};  ///< Stats::per_backend
+    std::atomic<std::uint64_t> vectors{0};  ///< Stats::per_backend, ::vectors
   };
 
-  /// Stats without the per-backend maps: independent monotonic tallies, so
-  /// relaxed increments suffice.
+  /// Stats without the column sums (vectors, per_backend): independent
+  /// monotonic tallies, so relaxed increments suffice.
   struct alignas(64) Counters {
-    std::atomic<std::uint64_t> vectors{0};
     std::atomic<std::uint64_t> singles{0};
     std::atomic<std::uint64_t> submitted{0};
     std::atomic<std::uint64_t> batches{0};
@@ -343,18 +322,6 @@ class Engine {
   void on_backend_success(Column& column);
   /// Engages the breaker for one probation period; health_mutex_ held.
   void trip(Column& column);
-  /// True when *any* breaker can engage — consecutive-failure quarantine or
-  /// telemetry drift demotion — so success/probe bookkeeping runs.
-  bool health_armed() const {
-    return options_.quarantine_strikes > 0 ||
-           options_.drift_demote_factor > 0.0;
-  }
-  /// Drift check on the recording path: once the single-vector series holds
-  /// enough samples, a live p99 beyond drift_demote_factor x the anchor
-  /// quarantines the backend for one probation and resets the series (the
-  /// re-probe prices from the anchor, not the degraded history).
-  void maybe_demote_for_drift(Column& column, Cell& cell);
-
   /// Runs the routed transform; with the breaker armed, absorbs a backend
   /// failure (exception, injected fault, or non-finite output from a finite
   /// input when verify_finite) by striking the backend, restoring the input

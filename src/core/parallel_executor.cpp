@@ -1,10 +1,7 @@
 #include "core/parallel_executor.hpp"
 
-#include <algorithm>
-#include <thread>
-#include <vector>
-
 #include "core/executor.hpp"
+#include "util/parallel_chunks.hpp"
 
 namespace whtlab::core {
 
@@ -34,26 +31,9 @@ void execute_parallel_strided(const Plan& plan, double* x, std::ptrdiff_t stride
     const PlanNode* child = root.children[idx].get();
     const std::uint64_t ni = child->size();
     r /= ni;
-    const std::uint64_t tasks = r * s;  // independent child applications
-    const int workers = static_cast<int>(
-        std::min<std::uint64_t>(static_cast<std::uint64_t>(num_threads), tasks));
-    if (workers <= 1) {
-      for (std::uint64_t j = 0; j < r; ++j) {
-        for (std::uint64_t k = 0; k < s; ++k) {
-          execute_node(*child,
-                       x + static_cast<std::ptrdiff_t>(j * ni * s + k) * stride,
-                       static_cast<std::ptrdiff_t>(s) * stride, table);
-        }
-      }
-    } else {
-      std::vector<std::thread> pool;
-      pool.reserve(static_cast<std::size_t>(workers));
-      for (int w = 0; w < workers; ++w) {
-        const std::uint64_t begin = tasks * static_cast<std::uint64_t>(w) /
-                                    static_cast<std::uint64_t>(workers);
-        const std::uint64_t end = tasks * static_cast<std::uint64_t>(w + 1) /
-                                  static_cast<std::uint64_t>(workers);
-        pool.emplace_back([&, begin, end] {
+    // r * s independent child applications; task j * s + k is (j, k).
+    util::parallel_chunks(
+        r * s, num_threads, [&](std::uint64_t begin, std::uint64_t end) {
           for (std::uint64_t task = begin; task < end; ++task) {
             const std::uint64_t j = task / s;
             const std::uint64_t k = task % s;
@@ -62,9 +42,6 @@ void execute_parallel_strided(const Plan& plan, double* x, std::ptrdiff_t stride
                          static_cast<std::ptrdiff_t>(s) * stride, table);
           }
         });
-      }
-      for (auto& t : pool) t.join();
-    }
     s *= ni;
   }
 }

@@ -12,8 +12,8 @@
 #include <utility>
 #include <vector>
 
+#include "ipc/credit_bucket.hpp"
 #include "ipc/futex.hpp"
-#include "ipc/rate_limiter.hpp"
 #include "ipc/validate.hpp"
 #include "util/env.hpp"
 #include "util/fault.hpp"
@@ -58,7 +58,6 @@ std::uint64_t env_u64(const char* name, std::uint64_t fallback,
 }  // namespace
 
 struct Daemon::SlotLocal {
-  RateLimiter limiter;
   CreditBucket credits;
   StrikeCounter strikes;
   std::uint64_t seen_generation = 0;
@@ -69,7 +68,6 @@ struct Daemon::SlotLocal {
   /// A new tenant (or an eviction) starts every budget and ledger fresh.
   void new_tenant(std::uint64_t generation) {
     seen_generation = generation;
-    limiter.reset();
     credits.reset();
     strikes.reset();
     last_counter = 0;
@@ -90,12 +88,6 @@ DaemonOptions DaemonOptions::from_env() {
       env_u64("WHTLAB_IPC_ARENA_BYTES", options.arena_doubles * sizeof(double),
               64 * sizeof(double), std::uint64_t{1} << 40) /
       sizeof(double);
-  options.rate_limit = env_u64("WHTLAB_IPC_RATE_LIMIT", options.rate_limit, 0,
-                               std::uint64_t{1} << 32);
-  options.rate_window_ns =
-      env_u64("WHTLAB_IPC_RATE_WINDOW_MS",
-              options.rate_window_ns / 1000000ULL, 1, 3600000) *
-      1000000ULL;
   options.timeout_ms =
       env_u64("WHTLAB_IPC_TIMEOUT_MS", options.timeout_ms, 1, 86400000);
   options.sweep_ms =
@@ -106,8 +98,6 @@ DaemonOptions DaemonOptions::from_env() {
       env_u64("WHTLAB_IPC_CREDIT_WINDOW_MS",
               options.credit_window_ns / 1000000ULL, 1, 3600000) *
       1000000ULL;
-  options.shed_expired =
-      env_u64("WHTLAB_IPC_SHED", options.shed_expired ? 1 : 0, 0, 1) != 0;
   options.strike_limit = static_cast<std::uint32_t>(
       env_u64("WHTLAB_IPC_STRIKES", options.strike_limit, 0, 1000000));
   options.drain_ms =
@@ -122,25 +112,6 @@ DaemonOptions DaemonOptions::from_env() {
       env_u64("WHTLAB_IPC_PROBATION_MS", 2000, 1, 86400000);
   options.engine.verify_finite =
       env_u64("WHTLAB_IPC_VERIFY", 1, 0, 1) != 0;
-  // Live re-anchoring knobs (engine.hpp): conservative defaults — recording
-  // on, re-anchoring and drift demotion off until explicitly armed.
-  // (WHTLAB_TELEMETRY=0 itself is read by the Engine constructor.)
-  options.engine.telemetry_decay_window =
-      env_u64("WHTLAB_TELEMETRY_DECAY",
-              options.engine.telemetry_decay_window, 0, std::uint64_t{1} << 32);
-  options.engine.reanchor_min_samples =
-      env_u64("WHTLAB_TELEMETRY_REANCHOR",
-              options.engine.reanchor_min_samples, 0, std::uint64_t{1} << 32);
-  options.engine.reanchor_blend =
-      static_cast<double>(env_u64(
-          "WHTLAB_TELEMETRY_BLEND_PCT",
-          static_cast<std::uint64_t>(options.engine.reanchor_blend * 100.0),
-          0, 100)) /
-      100.0;
-  options.engine.drift_demote_factor = static_cast<double>(
-      env_u64("WHTLAB_TELEMETRY_DRIFT",
-              static_cast<std::uint64_t>(options.engine.drift_demote_factor),
-              0, 1000000));
   return options;
 }
 
@@ -159,9 +130,6 @@ Daemon::Daemon(DaemonOptions options) : options_(std::move(options)) {
   }
   if (options_.timeout_ms < 1) {
     throw std::invalid_argument("ipc::Daemon: timeout_ms must be >= 1");
-  }
-  if (options_.rate_window_ns < 1) {
-    throw std::invalid_argument("ipc::Daemon: rate_window_ns must be >= 1");
   }
   if (options_.credit_window_ns < 1) {
     throw std::invalid_argument("ipc::Daemon: credit_window_ns must be >= 1");
@@ -341,12 +309,9 @@ Shm Daemon::bind_segment(const std::string& shm_name, bool cede_draining,
   hdr->slot_count = options_.slots;
   hdr->ring_depth = kRingDepth;
   hdr->arena_doubles = options_.arena_doubles;
-  hdr->rate_limit = options_.rate_limit;
-  hdr->rate_window_ns = options_.rate_window_ns;
   hdr->timeout_ms = options_.timeout_ms;
   hdr->credit_limit = options_.credit_limit;
   hdr->credit_window_ns = options_.credit_window_ns;
-  hdr->shed_expired = options_.shed_expired ? 1 : 0;
   hdr->strike_limit = options_.strike_limit;
   hdr->drain_ms = options_.drain_ms;
   hdr->epoch.store(staging ? 0 : (epoch_base_ + 1),
@@ -355,8 +320,6 @@ Shm Daemon::bind_segment(const std::string& shm_name, bool cede_draining,
   // Per-slot trust/budget state stays daemon-local: the shared segment gets
   // only the advisory balance word.  A fresh segment means fresh tenants.
   for (std::uint32_t s = 0; s < options_.slots; ++s) {
-    slot_local_[s].limiter =
-        RateLimiter(options_.rate_limit, options_.rate_window_ns);
     slot_local_[s].credits =
         CreditBucket(options_.credit_limit, options_.credit_window_ns);
     slot_local_[s].strikes = StrikeCounter(options_.strike_limit);
@@ -748,25 +711,18 @@ void Daemon::handle_request(std::uint32_t index, SlotShared* cell,
   }
 
   const std::uint64_t now = monotonic_ns();
-  // Overload degradation, cheapest checks first.  Shedding precedes the
-  // budgets: an expired request must not charge credits or rate quota for
-  // work that will not happen.
-  if (options_.shed_expired && request_expired(request, now)) {
+  // Overload degradation, cheapest check first.  Shedding precedes the
+  // credit bucket: an expired request must not be charged for work that
+  // will not happen, and a refused request is charged nothing either.
+  if (request_expired(request, now)) {
     stats.shed_expired.fetch_add(1, std::memory_order_relaxed);
     respond(index, cell, request.seq, Status::kTimeout);
     return;
   }
-  if (!local.credits.try_spend(request.count, now)) {
+  const bool admitted = local.credits.try_spend(request.count, now);
+  cell->credits.store(local.credits.available(now), std::memory_order_relaxed);
+  if (!admitted) {
     stats.credit_stalls.fetch_add(1, std::memory_order_relaxed);
-    cell->credits.store(local.credits.available(now),
-                        std::memory_order_relaxed);
-    respond(index, cell, request.seq, Status::kThrottled);
-    return;
-  }
-  cell->credits.store(local.credits.available(now),
-                      std::memory_order_relaxed);
-  if (!local.limiter.try_acquire(now)) {
-    stats.throttled.fetch_add(1, std::memory_order_relaxed);
     respond(index, cell, request.seq, Status::kThrottled);
     return;
   }
@@ -887,7 +843,6 @@ void Daemon::reclaim(std::uint32_t index, SlotShared* cell) {
   cell->requests.reset();
   cell->responses.reset();
   cell->state.store(kFree, std::memory_order_release);
-  slot_local_[index].limiter.reset();
   slot_local_[index].claim_strikes = 0;
   header()->stats.reclaimed.fetch_add(1, std::memory_order_relaxed);
 }

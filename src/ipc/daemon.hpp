@@ -8,19 +8,25 @@
 //   ...
 //   daemon.stop();             // drain, publish shutdown, unlink segment
 //
-// The service loop pops requests from every active slot's ring, admits them
-// through a per-client trailing-window RateLimiter, validates their shape,
-// and runs each one — a single vector or a client-side batch alike — on the
-// service thread through the Engine's arbitrated execute_many before it
-// answers.  All execution is in place in the client's shm arena: no vector
-// bytes are ever copied across the process boundary.
+// The service loop pops requests from every active slot's ring, validates
+// their shape, sheds the ones already past their deadline, charges the rest
+// against a per-client CreditBucket, and runs each one — a single vector or
+// a client-side batch alike — on the service thread through the Engine's
+// arbitrated execute_many before it answers.  All execution is in place in
+// the client's shm arena: no vector bytes are ever copied across the
+// process boundary.
 //
 // Robustness is part of the contract:
 //   * Admission control — a bounded slot table; a client that finds no free
 //     slot gets a typed kServerFull at connect (client.hpp).
-//   * Rate limiting — per-slot RateLimiter (rate_limiter.hpp); over-budget
-//     requests answer kThrottled immediately, without execution, so one
-//     greedy client cannot queue out the others.
+//   * Credit flow control — the one throttle: a per-slot CreditBucket
+//     (credit_bucket.hpp) charged one credit per staged vector; an
+//     over-budget request answers kThrottled immediately, without
+//     execution and without being charged, so one greedy client cannot
+//     queue out the others.
+//   * Deadline shedding — always on: a request whose stamped deadline
+//     already passed answers kTimeout before it is charged or executed; a
+//     request without a deadline is never shed.
 //   * Dead-client reclamation — a pid-liveness sweep every sweep_ms frees
 //     slots whose owner died (SIGKILL included) and resets their rings; an
 //     answer whose requester released its slot mid-run is dropped by
@@ -69,11 +75,6 @@ struct DaemonOptions {
   /// (count << n <= arena_doubles).  [WHTLAB_IPC_ARENA_BYTES / 8]
   std::uint64_t arena_doubles = std::uint64_t{1} << 19;  // 4 MiB
 
-  /// Admitted requests per client per trailing window; 0 disables.
-  /// [WHTLAB_IPC_RATE_LIMIT]
-  std::uint64_t rate_limit = 0;
-  std::uint64_t rate_window_ns = 1000000000ULL;
-
   /// Suggested client wait deadline, published in the header; clients may
   /// override locally.  [WHTLAB_IPC_TIMEOUT_MS]
   std::uint64_t timeout_ms = 5000;
@@ -85,18 +86,11 @@ struct DaemonOptions {
   /// Credit-based flow control: per-client work budget in *vectors* (one
   /// credit buys one staged vector), refilled continuously at credit_limit
   /// per credit_window_ns.  A request whose cost exceeds the balance gets a
-  /// typed kThrottled without execution.  0 disables.  Complements
-  /// rate_limit, which counts requests regardless of size.
+  /// typed kThrottled without execution and is charged nothing.  Every
+  /// request stages at least one vector, so none is free.  0 disables.
   /// [WHTLAB_IPC_CREDITS / WHTLAB_IPC_CREDIT_WINDOW_MS]
   std::uint64_t credit_limit = 0;
   std::uint64_t credit_window_ns = 1000000000ULL;
-
-  /// Deadline-aware load shedding: drop requests whose stamped deadline_ns
-  /// already passed when the daemon would execute them, answering a typed
-  /// kTimeout instead of burning Engine time on an answer nobody waits
-  /// for.  On by default — a request without a deadline is never shed.
-  /// [WHTLAB_IPC_SHED]
-  bool shed_expired = true;
 
   /// Trust-boundary strikes before a slot is evicted (generation bump +
   /// reclaim).  Violations the shipped client library can never produce —
@@ -210,7 +204,7 @@ class Daemon {
   const std::string& shm_name() const { return shm_.name(); }
 
  private:
-  struct SlotLocal;  // daemon-private per-slot state (limiter, strikes, ...)
+  struct SlotLocal;  // daemon-private per-slot state (credits, strikes, ...)
 
   void service_loop();
   bool poll_requests();
@@ -281,8 +275,8 @@ class Daemon {
   Shm stats_shm_;  ///< observer-only telemetry page ("<shm name>.stats")
   std::unique_ptr<api::Engine> engine_;
   api::ExecContext ctx_;  ///< service-thread scratch for request execution
-  /// Daemon-private per-slot trust/budget state (limiter, credit bucket,
-  /// strike ledger, last seq counter).  Lives here — never in the shared
+  /// Daemon-private per-slot trust/budget state (credit bucket, strike
+  /// ledger, last seq counter).  Lives here — never in the shared
   /// segment — so clients cannot rewrite their own budgets or rap sheets.
   /// Touched only by the service thread (and stats(), read-only, counters
   /// aside).  SlotLocal is incomplete here; ctor/dtor live in daemon.cpp.

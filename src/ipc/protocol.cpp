@@ -46,7 +46,6 @@ struct StatsField {
 constexpr StatsField kStatsFields[] = {
     {"requests", &SharedStats::requests, &DaemonStats::requests},
     {"vectors", &SharedStats::vectors, &DaemonStats::vectors},
-    {"throttled", &SharedStats::throttled, &DaemonStats::throttled},
     {"bad_request", &SharedStats::bad_request, &DaemonStats::bad_request},
     {"exec_errors", &SharedStats::exec_errors, &DaemonStats::exec_errors},
     {"reclaimed", &SharedStats::reclaimed, &DaemonStats::reclaimed},

@@ -47,7 +47,7 @@ namespace whtlab::ipc {
 enum class Status : std::int32_t {
   kOk = 0,
   kServerFull,   ///< admission control: every client slot is claimed
-  kThrottled,    ///< rate/credit budget exhausted — typed backpressure
+  kThrottled,    ///< credit budget exhausted — typed backpressure
   kTimeout,      ///< no response within the deadline (daemon overloaded?),
                  ///< or the request expired before execution (load shedding)
   kDaemonGone,   ///< daemon shut down, or its pid is no longer alive
@@ -161,7 +161,6 @@ struct SlotShared {
 struct SharedStats {
   std::atomic<std::uint64_t> requests;     ///< popped from request rings
   std::atomic<std::uint64_t> vectors;      ///< transforms executed
-  std::atomic<std::uint64_t> throttled;    ///< rejected by the rate limiter
   std::atomic<std::uint64_t> bad_request;  ///< rejected by validation
   std::atomic<std::uint64_t> exec_errors;  ///< execution threw
   std::atomic<std::uint64_t> reclaimed;    ///< slots freed by the sweep
@@ -170,7 +169,7 @@ struct SharedStats {
   std::atomic<std::uint64_t> protocol_errors;  ///< wire violations (validate.hpp)
   std::atomic<std::uint64_t> evictions;    ///< slots evicted for repeat offense
   std::atomic<std::uint64_t> shed_expired;  ///< past-deadline requests shed
-  std::atomic<std::uint64_t> credit_stalls;  ///< requests refused for credits
+  std::atomic<std::uint64_t> credit_stalls;  ///< refused kThrottled for credits
   /// Lifecycle counters (protocol v4).
   std::atomic<std::uint64_t> drained;        ///< graceful drains completed
   std::atomic<std::uint64_t> drain_aborted;  ///< drains cut off at the deadline
@@ -182,6 +181,9 @@ struct SharedStats {
 struct DaemonStats {
   std::uint64_t requests = 0;
   std::uint64_t vectors = 0;
+  /// Always 0: credit_stalls is the one refusal counter.  Kept only because
+  /// perfbench's whtd_open workload reads it; it goes with the next change
+  /// to that benchmark.
   std::uint64_t throttled = 0;
   std::uint64_t bad_request = 0;
   std::uint64_t exec_errors = 0;
@@ -216,14 +218,11 @@ struct ControlHeader {
   std::uint32_t slot_count;
   std::uint32_t ring_depth;
   std::uint64_t arena_doubles;   ///< per-slot staging capacity
-  std::uint64_t rate_limit;      ///< admitted requests per window per client (0 = off)
-  std::uint64_t rate_window_ns;  ///< the trailing window
   std::uint64_t timeout_ms;      ///< suggested client wait deadline
   /// Overload-control config, published for observability (the binding
   /// copies live in the daemon's DaemonOptions):
   std::uint64_t credit_limit;      ///< per-slot credit capacity (0 = off)
   std::uint64_t credit_window_ns;  ///< full-refill period of the bucket
-  std::uint32_t shed_expired;      ///< 1 = deadline shedding armed
   std::uint32_t strike_limit;      ///< protocol strikes before eviction (0 = never)
   /// Drain budget published for observability (the binding copy lives in
   /// DaemonOptions): how long a SIGTERM'd daemon finishes in-flight work
@@ -391,7 +390,7 @@ bool stats_read(const StatsPage& shared, StatsPage& out, int retries = 64);
 std::string stats_shm_name_for(const std::string& endpoint);
 
 /// Monotonic nanoseconds (CLOCK_MONOTONIC) — the protocol's only clock:
-/// rate-limiter stamps, wait deadlines, sweep periods.
+/// credit refills, wait deadlines, sweep periods.
 std::uint64_t monotonic_ns();
 
 }  // namespace whtlab::ipc

@@ -6,7 +6,6 @@
 #include "core/executor.hpp"
 #include "simd/kernels.hpp"
 #include "util/aligned_buffer.hpp"
-#include "util/env.hpp"
 #include "util/parallel_chunks.hpp"
 
 namespace whtlab::simd {
@@ -24,15 +23,7 @@ constexpr std::uint64_t kInterleaveMaxDoubles = 512;
 struct WalkContext {
   const KernelSet* kernels;  // never null inside the vectorized walk
   const std::array<core::CodeletFn, core::kMaxUnrolled + 1>* scalar;
-  bool use_gather = false;  // leaf_strided available and not env-disabled
 };
-
-/// WHTLAB_SIMD_GATHER=0 keeps strided leaves on the scalar codelets (the
-/// ablation knob for the AVX-512 gather/scatter path); read once.
-bool gather_env_enabled() {
-  static const bool enabled = util::env_int("WHTLAB_SIMD_GATHER", 1) != 0;
-  return enabled;
-}
 
 /// W transforms in lockstep: lane l's element j of `node`'s vector lives at
 /// x[l + j*estride].  Split nodes are the scalar triple loop with element
@@ -71,7 +62,8 @@ void walk(const core::PlanNode& node, double* x, std::ptrdiff_t stride,
   if (node.kind == core::NodeKind::kSmall) {
     if (stride == 1 && node.size() >= width) {
       ctx.kernels->leaf_unit(node.log2_size, x);
-    } else if (ctx.use_gather && stride > 1 && node.size() >= width) {
+    } else if (ctx.kernels->leaf_strided != nullptr && stride > 1 &&
+               node.size() >= width) {
       // Strided leaf on the gather/scatter path: 8 strided elements per
       // zmm, the whole butterfly body in registers (AVX-512 only; scalar
       // elsewhere).
@@ -132,9 +124,7 @@ void execute(const core::Plan& plan, double* x, std::ptrdiff_t stride,
     core::execute_node(plan.root(), x, stride, scalar);
     return;
   }
-  WalkContext ctx{kernels, &scalar};
-  ctx.use_gather = kernels->leaf_strided != nullptr && gather_env_enabled();
-  walk(plan.root(), x, stride, ctx);
+  walk(plan.root(), x, stride, WalkContext{kernels, &scalar});
 }
 
 void execute(const core::Plan& plan, double* x, std::ptrdiff_t stride) {

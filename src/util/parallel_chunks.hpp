@@ -1,7 +1,8 @@
 // Fork-join over a contiguous index range.
 //
 // The batch execution paths (simd::execute_many groups, the parallel
-// backend's across-vector run_many) all need the same shape: split
+// backend's across-vector run_many) and the parallel tree walk's per-factor
+// fan-out (core::execute_parallel_strided) all need the same shape: split
 // [0, total) into one contiguous chunk per worker, run the chunks on
 // std::threads, join.  Kept header-only and dependency-free so every
 // executor layer can share one copy of the partition arithmetic.

@@ -5,9 +5,8 @@
 // arbitrated execute_many) must equal the in-process Transform bit for bit,
 // including with >= 4 concurrent client *processes* racing each other.
 // Also here: admission control (typed kServerFull when the slot table is
-// full), per-client rate limiting (the throttled client gets typed
-// backpressure, its neighbour is unaffected), and typed client-side shape
-// errors.
+// full) and typed client-side shape errors.  Per-client credit throttling
+// is covered in overload_test.cpp.
 //
 // Fork discipline: client children are forked BEFORE the Daemon is
 // constructed, while this process is still single-threaded; the children
@@ -148,38 +147,6 @@ TEST(IpcServe, AdmissionControlRejectsWithServerFull) {
   } catch (const Error& e) {
     EXPECT_EQ(e.status(), Status::kServerFull);
   }
-  daemon.stop();
-}
-
-TEST(IpcServe, ThrottledClientGetsBackpressureNeighbourDoesNot) {
-  const std::string endpoint = unique_endpoint("throttle");
-  DaemonOptions options;
-  options.endpoint = endpoint;
-  options.slots = 2;
-  options.rate_limit = 3;                     // 3 requests ...
-  options.rate_window_ns = 2000000000ULL;     // ... per 2 s: easy to exceed
-  Daemon daemon(options);
-  daemon.start();
-
-  auto greedy = Client::connect({.endpoint = endpoint});
-  auto polite = Client::connect({.endpoint = endpoint});
-
-  // The greedy client burns its budget and must see typed backpressure.
-  double* gx = greedy.stage(6);
-  int throttled = 0;
-  for (int r = 0; r < 8; ++r) {
-    const Status status = greedy.transform(6, gx);
-    ASSERT_TRUE(status == Status::kOk || status == Status::kThrottled);
-    throttled += status == Status::kThrottled;
-  }
-  EXPECT_GE(throttled, 5) << "over-budget requests were not throttled";
-
-  // The limiter is per slot: the neighbour's budget is untouched.
-  double* px = polite.stage(6);
-  for (int r = 0; r < 3; ++r) {
-    EXPECT_EQ(polite.transform(6, px), Status::kOk) << "round " << r;
-  }
-  EXPECT_GE(daemon.stats().throttled, 5u);
   daemon.stop();
 }
 

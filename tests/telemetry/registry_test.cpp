@@ -49,8 +49,9 @@ TEST(TelemetryRegistry, DecayWindowAppliesToExistingAndFutureSeries) {
     early.record(10);
     late.record(10);
   }
-  EXPECT_LT(early.count(), 10000u) << "window retrofits existing series";
-  EXPECT_LT(late.count(), 10000u) << "window applies at creation";
+  EXPECT_LT(early.snapshot().count, 10000u)
+      << "window retrofits existing series";
+  EXPECT_LT(late.snapshot().count, 10000u) << "window applies at creation";
 }
 
 TEST(TelemetryRegistry, ToTextEmitsLabeledMetrics) {

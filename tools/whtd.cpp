@@ -4,7 +4,7 @@
 // process through zero-copy shm rings:
 //
 //   whtd &                          # serve endpoint "whtlab"
-//   whtd --endpoint lab --slots 8 --rate-limit 5000
+//   whtd --endpoint lab --slots 8 --credits 5000
 //   whtd --stats                    # periodic shared-counter lines
 //   whtd --supervise --pid-file d.pid   # watchdog + rolling restarts
 //
@@ -49,8 +49,6 @@ whtlab::ipc::DaemonOptions options_from(const whtlab::util::Cli& cli) {
       static_cast<std::uint32_t>(cli.get_int("slots", options.slots));
   options.arena_doubles = static_cast<std::uint64_t>(cli.get_int(
       "arena-doubles", static_cast<std::int64_t>(options.arena_doubles)));
-  options.rate_limit = static_cast<std::uint64_t>(cli.get_int(
-      "rate-limit", static_cast<std::int64_t>(options.rate_limit)));
   options.credit_limit = static_cast<std::uint64_t>(cli.get_int(
       "credits", static_cast<std::int64_t>(options.credit_limit)));
   options.credit_window_ns =
@@ -58,7 +56,6 @@ whtlab::ipc::DaemonOptions options_from(const whtlab::util::Cli& cli) {
           "credit-window-ms",
           static_cast<std::int64_t>(options.credit_window_ns / 1000000ULL))) *
       1000000ULL;
-  options.shed_expired = cli.get_int("shed", options.shed_expired ? 1 : 0) != 0;
   options.strike_limit = static_cast<std::uint32_t>(
       cli.get_int("strikes", static_cast<std::int64_t>(options.strike_limit)));
   options.timeout_ms = static_cast<std::uint64_t>(cli.get_int(
@@ -78,10 +75,8 @@ int main(int argc, char** argv) {
   cli.add_flag("endpoint", "serving endpoint (segment /dev/shm/whtlab.<name>)");
   cli.add_flag("slots", "client slots (admission-control bound)");
   cli.add_flag("arena-doubles", "per-slot staging arena, in doubles");
-  cli.add_flag("rate-limit", "admitted requests/client/window (0 = off)");
   cli.add_flag("credits", "per-client work credits (vectors) per window (0 = off)");
   cli.add_flag("credit-window-ms", "credit bucket full-refill period, ms");
-  cli.add_flag("shed", "deadline load shedding: 1 = drop expired requests (default), 0 = off");
   cli.add_flag("strikes", "protocol strikes before slot eviction (0 = never evict)");
   cli.add_flag("timeout-ms", "published client wait deadline, ms");
   cli.add_flag("sweep-ms", "dead-client liveness sweep period, ms");

@@ -303,15 +303,16 @@ void Engine::on_backend_success(Column& column) {
 
 std::size_t Engine::run_guarded(const Route& route, int n, double* x,
                                 std::size_t count, std::ptrdiff_t dist,
-                                ExecContext* ctx) {
+                                ExecContext& ctx) {
   const std::uint64_t size = std::uint64_t{1} << n;
   Column& column = columns_[route.column];
   const bool resilient =
       options_.quarantine_strikes > 0 && route.column != fallback_;
   // Execution is in place, so a failed or corrupt run has already destroyed
   // the caller's input by the time the failure is visible.  The snapshot
-  // is a local buffer on purpose: ctx staging may hold this very batch
-  // (serve_group), and ScratchArena::acquire may relocate on growth.
+  // is a local buffer on purpose: the dispatcher's staging arena may hold
+  // this very batch (serve_group), and ScratchArena::acquire may relocate
+  // on growth.
   std::vector<double> snapshot;
   if (resilient) {
     snapshot.resize(size * count);
@@ -323,15 +324,9 @@ std::size_t Engine::run_guarded(const Route& route, int n, double* x,
   }
   const auto run = [&](const Transform& t) {
     if (count == 1) {
-      if (ctx != nullptr) {
-        t.execute(x, 1, *ctx);
-      } else {
-        t.execute(x);
-      }
-    } else if (ctx != nullptr) {
-      t.execute_many(x, count, dist, *ctx);
+      t.execute(x, 1, ctx);
     } else {
-      t.execute_many(x, count, dist);
+      t.execute_many(x, count, dist, ctx);
     }
   };
   telemetry::Accumulator* telem =
@@ -398,14 +393,15 @@ void Engine::record(std::size_t column, std::uint64_t vectors, bool batch,
 }
 
 void Engine::serve(int n, double* x, std::size_t count, std::ptrdiff_t dist,
-                   ExecContext* ctx) {
+                   ExecContext& ctx) {
   if (count == 0) return;
   const Route best = route(n, count, nullptr);
   record(run_guarded(best, n, x, count, dist, ctx), count, count > 1, false);
 }
 
 void Engine::execute(int n, double* x) {
-  serve(n, x, 1, static_cast<std::ptrdiff_t>(std::uint64_t{1} << n), nullptr);
+  ExecContext ctx;
+  execute(n, x, ctx);
 }
 
 void Engine::execute_many(int n, double* x, std::size_t count) {
@@ -414,16 +410,17 @@ void Engine::execute_many(int n, double* x, std::size_t count) {
 
 void Engine::execute_many(int n, double* x, std::size_t count,
                           std::ptrdiff_t dist) {
-  serve(n, x, count, dist, nullptr);
+  ExecContext ctx;
+  execute_many(n, x, count, dist, ctx);
 }
 
 void Engine::execute(int n, double* x, ExecContext& ctx) {
-  serve(n, x, 1, static_cast<std::ptrdiff_t>(std::uint64_t{1} << n), &ctx);
+  serve(n, x, 1, static_cast<std::ptrdiff_t>(std::uint64_t{1} << n), ctx);
 }
 
 void Engine::execute_many(int n, double* x, std::size_t count,
                           std::ptrdiff_t dist, ExecContext& ctx) {
-  serve(n, x, count, dist, &ctx);
+  serve(n, x, count, dist, ctx);
 }
 
 void Engine::ensure_dispatcher() {
@@ -509,6 +506,7 @@ void Engine::serve_group(std::vector<Pending> group) {
   const std::size_t count = group.size();
   const std::uint64_t size = std::uint64_t{1} << n;
   const bool staged = count > 1 && size * count <= kMaxStagedDoubles;
+  ExecContext ctx;
   try {
     // Price the shape that will actually run: a group too large to stage
     // serves as independent single-vector requests.
@@ -518,7 +516,7 @@ void Engine::serve_group(std::vector<Pending> group) {
         // run_guarded may reroute ONE vector to the fallback without
         // disturbing the winner the rest still use.
         record(run_guarded(best, n, p.x, 1, static_cast<std::ptrdiff_t>(size),
-                           &dispatcher_ctx_),
+                           ctx),
                1, false, true);
       }
     } else {
@@ -526,13 +524,13 @@ void Engine::serve_group(std::vector<Pending> group) {
       // call on the arbitrated backend, scatter the results back.  The
       // staging arena belongs to the dispatcher thread and is reused across
       // batches, so steady-state serving allocates nothing.
-      double* stage = dispatcher_ctx_.staging(size * count);
+      double* stage = dispatcher_stage_.acquire(size * count);
       for (std::size_t v = 0; v < count; ++v) {
         std::memcpy(stage + v * size, group[v].x, size * sizeof(double));
       }
       const std::size_t served =
           run_guarded(best, n, stage, count,
-                      static_cast<std::ptrdiff_t>(size), &dispatcher_ctx_);
+                      static_cast<std::ptrdiff_t>(size), ctx);
       for (std::size_t v = 0; v < count; ++v) {
         std::memcpy(group[v].x, stage + v * size, size * sizeof(double));
       }

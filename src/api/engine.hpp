@@ -56,6 +56,7 @@
 #include "api/transform.hpp"
 #include "perf/measure.hpp"
 #include "telemetry/registry.hpp"
+#include "util/scratch_arena.hpp"
 
 namespace whtlab::api {
 
@@ -202,10 +203,10 @@ class Engine {
   void execute_many(int n, double* x, std::size_t count);
   void execute_many(int n, double* x, std::size_t count, std::ptrdiff_t dist);
 
-  /// External-submitter hooks: the caller owns the per-call context instead
-  /// of the Transform's internal pool — the shape for serving layers that
-  /// drive the Engine from their own threads with their own arenas (the
-  /// whtd daemon executes straight on shared-memory staging this way).
+  /// External-submitter hooks: the caller owns the per-call context, so the
+  /// instrumented backend's op tallies stay readable on it after the call
+  /// (the whtd daemon serves its service thread through one held context).
+  /// The overloads above build a throwaway context per call instead.
   void execute(int n, double* x, ExecContext& ctx);
   void execute_many(int n, double* x, std::size_t count, std::ptrdiff_t dist,
                     ExecContext& ctx);
@@ -329,11 +330,11 @@ class Engine {
   /// column that actually served.
   std::size_t run_guarded(const Route& route, int n, double* x,
                           std::size_t count, std::ptrdiff_t dist,
-                          ExecContext* ctx);
+                          ExecContext& ctx);
 
   /// The synchronous serve path behind every execute/execute_many overload.
   void serve(int n, double* x, std::size_t count, std::ptrdiff_t dist,
-             ExecContext* ctx);
+             ExecContext& ctx);
 
   void record(std::size_t column, std::uint64_t vectors, bool batch,
               bool from_submit);
@@ -365,7 +366,7 @@ class Engine {
   bool stop_ = false;
   bool dispatcher_started_ = false;
   std::thread dispatcher_;
-  ExecContext dispatcher_ctx_;  ///< staging + scratch for coalesced batches
+  util::ScratchArena dispatcher_stage_;  ///< coalesced-batch staging
 };
 
 /// One-line human-readable rendering of a stats snapshot — the export used

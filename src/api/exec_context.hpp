@@ -1,62 +1,22 @@
 // wht::ExecContext — per-call mutable execution state, owned by the caller.
 //
-// The serving redesign makes every ExecutorBackend immutable after
-// construction: run()/run_many() are const and re-entrant, so one backend —
-// and therefore one wht::Transform — can serve any number of threads at
-// once.  Everything a call mutates besides the data vector itself lives
-// here instead:
+// Every ExecutorBackend is immutable after construction: run()/run_many()
+// are const and re-entrant, so one backend — and therefore one
+// wht::Transform — can serve any number of threads at once.  The one thing
+// a call writes besides the data vector itself is the "instrumented"
+// backend's op tallies (the paper's I channel), and they land here.
 //
-//   * scratch()      backend work buffers (the SIMD batch-interleave
-//                    staging area, gather/scatter assembly, ...);
-//   * staging()      caller-side buffers with a distinct lifetime (the
-//                    Transform copy conveniences, the Engine's request
-//                    coalescer) — kept separate from scratch() so a caller
-//                    staging data can still invoke a scratch-using backend;
-//   * op counts      the "instrumented" backend's tallies for the run.
-//
-// A context is NOT thread-safe; give each call chain its own.  ContextPool
-// does that for callers who don't want to manage contexts: a checkout/
-// return freelist whose size is bounded by peak concurrency (never by how
-// many threads have ever existed — a thread-per-request server reuses the
-// same few contexts forever), plus a small per-thread tally slot so the
-// instrumented backend's counts stay readable per thread after the context
-// goes back to the pool.
+// A context is NOT thread-safe; give each call chain its own.  It is a few
+// dozen bytes with no heap state, so context-free calls simply build a
+// throwaway one on the stack — pass your own to read the tallies back.
 #pragma once
 
-#include <cstddef>
-#include <map>
-#include <memory>
-#include <mutex>
-#include <thread>
-#include <vector>
-
 #include "core/instrumented.hpp"
-#include "util/scratch_arena.hpp"
 
 namespace whtlab::api {
 
 class ExecContext {
  public:
-  ExecContext() = default;
-  ExecContext(ExecContext&&) noexcept = default;
-  ExecContext& operator=(ExecContext&&) noexcept = default;
-  ExecContext(const ExecContext&) = delete;
-  ExecContext& operator=(const ExecContext&) = delete;
-
-  /// Backend work area: an aligned buffer of at least `count` doubles,
-  /// contents unspecified, valid until the next scratch() call on this
-  /// context.  Reused across calls (no steady-state allocation).
-  double* scratch(std::size_t count) { return scratch_.acquire(count); }
-
-  /// Caller work area with the same contract but a separate lifetime:
-  /// staging() results survive backend scratch() use within one call.
-  double* staging(std::size_t count) { return staging_.acquire(count); }
-
-  /// The arenas themselves, for layers that thread scratch down call chains
-  /// (simd::execute_many takes a ScratchArena* for its interleave buffer).
-  util::ScratchArena& scratch_arena() { return scratch_; }
-  util::ScratchArena& staging_arena() { return staging_; }
-
   /// Op tallies recorded by the last instrumenting run on this context
   /// since clear_op_counts(); nullptr when none ran.
   const core::OpCounts* last_op_counts() const {
@@ -69,64 +29,8 @@ class ExecContext {
   void clear_op_counts() { has_counts_ = false; }
 
  private:
-  util::ScratchArena scratch_;
-  util::ScratchArena staging_;
   core::OpCounts counts_{};
   bool has_counts_ = false;
-};
-
-/// Checkout/return cache of ExecContexts for callers that don't pass their
-/// own: acquire() leases a context for one call (creating one only when
-/// every existing context is leased out), the lease's destructor returns
-/// it.  Contexts — and their grown arenas — are therefore bounded by peak
-/// concurrent calls and reused across any number of threads.  tallies()
-/// keeps the last instrumented-run op counts per *thread* (a few dozen
-/// bytes each), so Transform::last_op_counts keeps its per-thread meaning
-/// after the context itself has moved on.
-class ContextPool {
- public:
-  ContextPool() = default;
-  ContextPool(const ContextPool&) = delete;
-  ContextPool& operator=(const ContextPool&) = delete;
-
-  class Lease {
-   public:
-    explicit Lease(const ContextPool& pool) : pool_(pool), ctx_(pool.take()) {}
-    ~Lease() { pool_.give_back(std::move(ctx_)); }
-    Lease(const Lease&) = delete;
-    Lease& operator=(const Lease&) = delete;
-
-    ExecContext& context() { return *ctx_; }
-
-   private:
-    const ContextPool& pool_;
-    std::unique_ptr<ExecContext> ctx_;
-  };
-
-  Lease acquire() const { return Lease(*this); }
-
-  /// Publishes `counts` as the calling thread's latest instrumented
-  /// tallies (Transform copies them out of the lease before returning it).
-  void record_tallies(const core::OpCounts& counts) const;
-
-  /// The calling thread's latest recorded tallies, or nullptr.  The
-  /// pointer stays valid until this thread's next pooled execute — or, on
-  /// servers churning through >1024 instrumented-serving threads, until the
-  /// bounded per-thread cache resets (exec_context.cpp); copy the counts
-  /// out rather than holding the pointer across other threads' serving.
-  const core::OpCounts* tallies() const;
-
-  /// Contexts created so far = peak concurrent leases (observability).
-  std::size_t size() const;
-
- private:
-  std::unique_ptr<ExecContext> take() const;
-  void give_back(std::unique_ptr<ExecContext> ctx) const;
-
-  mutable std::mutex mutex_;
-  mutable std::vector<std::unique_ptr<ExecContext>> free_;
-  mutable std::size_t created_ = 0;
-  mutable std::map<std::thread::id, core::OpCounts> tallies_;
 };
 
 }  // namespace whtlab::api

@@ -124,8 +124,8 @@ class SimdBackend final : public ExecutorBackend {
   }
 
   void run_many(const core::Plan& plan, double* x, std::size_t count,
-                std::ptrdiff_t dist, ExecContext& ctx) const override {
-    simd::execute_many(plan, x, count, dist, threads_, &ctx.scratch_arena());
+                std::ptrdiff_t dist, ExecContext& /*ctx*/) const override {
+    simd::execute_many(plan, x, count, dist, threads_);
   }
 
   int vector_width() const override {
@@ -293,10 +293,8 @@ perf::MeasureResult measure_with_backend(const ExecutorBackend& backend,
   // The protocol (warmup, probe-sized batches, master-copy restore) lives
   // once, in perf::measure_run; this merely plugs the backend in as the
   // engine so e.g. "parallel" and "simd" are timed on their own code paths.
-  ExecContext ctx;
-  return perf::measure_run(
-      [&backend, &plan, &ctx](double* x) { backend.run(plan, x, 1, ctx); },
-      plan.size(), options);
+  return perf::measure_run([&backend, &plan](double* x) { backend.run(plan, x); },
+                           plan.size(), options);
 }
 
 }  // namespace whtlab::api

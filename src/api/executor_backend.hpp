@@ -11,10 +11,12 @@
 // Execution contract (the concurrent-serving redesign): a backend is an
 // immutable recipe.  run()/run_many() are const and re-entrant — one
 // instance may execute any number of plans from any number of threads at
-// once — and every per-call mutable need (scratch buffers, op tallies) goes
-// through the caller-supplied wht::ExecContext.  Backends may hold derived
-// immutable state built at construction (the "fused" backend's lowered
-// schedules); they must not keep per-call state in members.
+// once — and the one per-call output besides the data (the instrumented
+// backend's op tallies) goes to the caller-supplied wht::ExecContext.  Work
+// buffers live on the call's own stack (the "simd" interleave tile).
+// Backends may hold derived immutable state built at construction (the
+// "fused" backend's lowered schedules); they must not keep per-call state
+// in members.
 //
 // Built-in keys (always registered):
 //   "generated"     sequential interpreter, build-time generated codelets
@@ -63,8 +65,8 @@ class ExecutorBackend {
   virtual const std::string& name() const = 0;
 
   /// Transforms the plan.size() elements x[0], x[stride], ... in place.
-  /// `ctx` supplies scratch and receives per-run outputs (op tallies);
-  /// callers serving from multiple threads pass one context per thread.
+  /// `ctx` receives per-run outputs (op tallies); callers serving from
+  /// multiple threads pass one context per thread.
   virtual void run(const core::Plan& plan, double* x, std::ptrdiff_t stride,
                    ExecContext& ctx) const = 0;
 
@@ -80,9 +82,8 @@ class ExecutorBackend {
     }
   }
 
-  /// Context-free conveniences for one-shot callers (each call uses a fresh
-  /// context, so instrumented tallies are discarded and scratch is not
-  /// reused — serving loops should hold a context instead).
+  /// Context-free conveniences: each call runs on a throwaway context, so
+  /// instrumented tallies are discarded — pass a context to read them.
   void run(const core::Plan& plan, double* x, std::ptrdiff_t stride = 1) const {
     ExecContext ctx;
     run(plan, x, stride, ctx);
@@ -169,8 +170,7 @@ class BackendRegistry {
 /// execution engine, so e.g. "parallel" is timed on its parallel code path.
 /// MeasureOptions::backend is ignored; repetitions must be >= 1.  Used by
 /// Transform::measure and by the Planner's measuring strategies (candidates
-/// are timed on the backend the planned Transform will actually use).  One
-/// context serves the whole protocol, so scratch warms up with the plan.
+/// are timed on the backend the planned Transform will actually use).
 perf::MeasureResult measure_with_backend(const ExecutorBackend& backend,
                                          const core::Plan& plan,
                                          const perf::MeasureOptions& options = {});

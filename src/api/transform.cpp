@@ -40,7 +40,6 @@ Transform::Transform(core::Plan plan, std::unique_ptr<ExecutorBackend> backend,
     : plan_(std::move(plan)),
       backend_(std::move(backend)),
       backend_name_(backend_->name()),
-      contexts_(std::make_unique<ContextPool>()),
       info_(std::move(info)) {}
 
 void Transform::ensure_valid() const {
@@ -50,10 +49,8 @@ void Transform::ensure_valid() const {
 void Transform::execute(double* x) const { execute(x, 1); }
 
 void Transform::execute(double* x, std::ptrdiff_t stride) const {
-  ensure_valid();
-  ContextPool::Lease lease = contexts_->acquire();
-  execute(x, stride, lease.context());
-  publish_tallies(lease.context());
+  ExecContext ctx;
+  execute(x, stride, ctx);
 }
 
 void Transform::execute(double* x, std::ptrdiff_t stride,
@@ -69,10 +66,8 @@ void Transform::execute_many(double* x, std::size_t count) const {
 
 void Transform::execute_many(double* x, std::size_t count,
                              std::ptrdiff_t dist) const {
-  ensure_valid();
-  ContextPool::Lease lease = contexts_->acquire();
-  execute_many(x, count, dist, lease.context());
-  publish_tallies(lease.context());
+  ExecContext ctx;
+  execute_many(x, count, dist, ctx);
 }
 
 void Transform::execute_many(double* x, std::size_t count, std::ptrdiff_t dist,
@@ -89,9 +84,7 @@ void Transform::execute_many(double* x, std::size_t count, std::ptrdiff_t dist,
 void Transform::execute_copy(const double* in, double* out) const {
   ensure_valid();
   if (out != in) std::memcpy(out, in, size() * sizeof(double));
-  ContextPool::Lease lease = contexts_->acquire();
-  backend_->run(plan_, out, 1, lease.context());
-  publish_tallies(lease.context());
+  backend_->run(plan_, out);
 }
 
 std::vector<double> Transform::apply(const std::vector<double>& in) const {
@@ -101,29 +94,9 @@ std::vector<double> Transform::apply(const std::vector<double>& in) const {
                                 std::to_string(in.size()) + " != transform size " +
                                 std::to_string(size()));
   }
-  // Stage through the leased context's caller-side arena (aligned, reused
-  // across calls) so the backend's own scratch use cannot alias it.
-  ContextPool::Lease lease = contexts_->acquire();
-  ExecContext& ctx = lease.context();
-  double* stage = ctx.staging(size());
-  std::memcpy(stage, in.data(), size() * sizeof(double));
-  backend_->run(plan_, stage, 1, ctx);
-  std::vector<double> out(stage, stage + size());
-  publish_tallies(ctx);
+  std::vector<double> out(in);
+  backend_->run(plan_, out.data());
   return out;
-}
-
-void Transform::publish_tallies(const ExecContext& ctx) const {
-  // Only instrumenting backends write tallies; copy them to the calling
-  // thread's slot before the context returns to the pool.
-  if (const core::OpCounts* counts = ctx.last_op_counts()) {
-    contexts_->record_tallies(*counts);
-  }
-}
-
-const core::OpCounts* Transform::last_op_counts() const {
-  ensure_valid();
-  return contexts_->tallies();
 }
 
 perf::MeasureResult Transform::measure(const perf::MeasureOptions& options) const {

@@ -12,10 +12,11 @@
 //
 // Transforms are move-only (they own a backend instance) and cheap to move.
 // Execution is const and re-entrant: plan and backend are immutable after
-// planning, and all per-call state lives in a wht::ExecContext — either one
-// the caller passes explicitly, or one leased per call from the Transform's
-// internal pool (bounded by peak concurrency, warm arenas reused).  Share
-// one Transform across any number of threads with no external locking;
+// planning, and the only per-call state (the instrumented backend's op
+// tallies) lives in a wht::ExecContext — one the caller passes explicitly,
+// or a throwaway one on the stack of a context-free call.  Nothing is
+// shared between calls, so no call takes a lock.  Share one Transform
+// across any number of threads with no external locking;
 // plan once, serve everywhere (planning is the expensive step, and
 // wht::Engine builds the process-wide serving layer on exactly this
 // property — see api/engine.hpp).
@@ -94,7 +95,7 @@ class Transform {
 
   /// In-place transform of x[0 .. size()).  Const and re-entrant: any number
   /// of threads may execute one Transform concurrently (on distinct data);
-  /// each call transparently leases an ExecContext from the internal pool.
+  /// each call runs on its own throwaway ExecContext and takes no lock.
   void execute(double* x) const;
 
   /// In-place transform of the size() elements x[0], x[stride], ...
@@ -108,9 +109,9 @@ class Transform {
   void execute_many(double* x, std::size_t count) const;
   void execute_many(double* x, std::size_t count, std::ptrdiff_t dist) const;
 
-  /// Explicit-context variants: the caller owns per-call state (scratch, op
-  /// tallies) instead of the per-thread pool — the serving-loop shape, and
-  /// the only way to read op counts from a context the caller controls.
+  /// Explicit-context variants: the caller owns the per-call state — the
+  /// only way to read the instrumented backend's op counts
+  /// (ctx.last_op_counts() after the call).
   void execute(double* x, std::ptrdiff_t stride, ExecContext& ctx) const;
   void execute_many(double* x, std::size_t count, std::ptrdiff_t dist,
                     ExecContext& ctx) const;
@@ -120,15 +121,9 @@ class Transform {
   /// overlap.
   void execute_copy(const double* in, double* out) const;
 
-  /// Copying convenience; stages through the calling thread's context
-  /// scratch.  in.size() must equal size().
+  /// Copying convenience: copies `in` into the result vector and
+  /// transforms it there, in place.  in.size() must equal size().
   std::vector<double> apply(const std::vector<double>& in) const;
-
-  /// Op tallies of the most recent pooled execute *on the calling thread*
-  /// (instrumented backend only; nullptr otherwise — including after
-  /// explicit-context executes, whose tallies live on the caller's
-  /// context).
-  const core::OpCounts* last_op_counts() const;
 
   /// Measures this transform with the perf protocol (warmup, batched reps,
   /// master-copy restore; see perf/measure.hpp) — but driven through the
@@ -143,12 +138,10 @@ class Transform {
             PlanningInfo info);
 
   void ensure_valid() const;
-  void publish_tallies(const ExecContext& ctx) const;
 
   core::Plan plan_;
   std::unique_ptr<ExecutorBackend> backend_;
   std::string backend_name_;
-  std::unique_ptr<ContextPool> contexts_;  ///< leased ExecContext cache
   PlanningInfo info_;
 };
 

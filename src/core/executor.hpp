@@ -21,8 +21,8 @@
 // therefore re-entrant: any number of threads may execute the same Plan
 // concurrently on disjoint data.  The api layer's const ExecutorBackend
 // contract (api/executor_backend.hpp) rests on this guarantee; keep it
-// when extending the interpreter (per-call work belongs in the caller's
-// wht::ExecContext, never in statics).
+// when extending the interpreter (per-call work belongs on the call's own
+// stack, never in statics).
 #pragma once
 
 #include <cstddef>

@@ -82,12 +82,37 @@ std::string to_string(const DaemonStats& stats) {
   return out;
 }
 
+namespace {
+
+/// Field-wise page copy.  The seqlock word is the page's one atomic, which
+/// leaves StatsPage without a trivial copy, so it moves by a relaxed load
+/// and store; every other field is plain data.
+void copy_page(const StatsPage& from, StatsPage& to) {
+  static_assert(sizeof(StatsPageHeader) == 48 + sizeof(StatsTotals),
+                "a new header field must be copied below");
+  const StatsPageHeader& src = from.header;
+  StatsPageHeader& dst = to.header;
+  dst.magic = src.magic;
+  dst.version = src.version;
+  dst.pid = src.pid;
+  dst.epoch = src.epoch;
+  dst.seq.store(src.seq.load(std::memory_order_relaxed),
+                std::memory_order_relaxed);
+  dst.published_ns = src.published_ns;
+  dst.series_count = src.series_count;
+  dst.reserved = src.reserved;
+  dst.totals = src.totals;
+  std::memcpy(to.series, from.series, sizeof(from.series));
+}
+
+}  // namespace
+
 bool stats_read(const StatsPage& shared, StatsPage& out, int retries) {
   for (int attempt = 0; attempt < retries; ++attempt) {
     const std::uint64_t before =
         shared.header.seq.load(std::memory_order_acquire);
     if (before & 1) continue;  // publish in progress
-    std::memcpy(&out, &shared, sizeof(StatsPage));
+    copy_page(shared, out);
     std::atomic_thread_fence(std::memory_order_acquire);
     const std::uint64_t after =
         shared.header.seq.load(std::memory_order_relaxed);

@@ -5,15 +5,14 @@
 #include "core/codelet.hpp"
 #include "core/executor.hpp"
 #include "simd/kernels.hpp"
-#include "util/aligned_buffer.hpp"
 #include "util/parallel_chunks.hpp"
 
 namespace whtlab::simd {
 
 namespace {
 
-/// Interleaved execute_many caps its scratch at this many doubles (4 KiB —
-/// a fraction of L1).  Interleaving wins exactly where per-transform
+/// Interleaved execute_many caps its stack tile at this many doubles (4 KiB
+/// — a fraction of L1).  Interleaving wins exactly where per-transform
 /// overhead dominates (tiny transforms, the high-rate serving shape);
 /// beyond this the W-fold working-set blowup spills L1 and the per-vector
 /// tree walk — itself vectorized — is faster (measured crossover ~2^6 at
@@ -149,8 +148,7 @@ bool batch_interleaves(const core::Plan& plan, std::size_t count) {
 }
 
 void execute_many(const core::Plan& plan, double* x, std::size_t count,
-                  std::ptrdiff_t dist, int threads,
-                  util::ScratchArena* scratch) {
+                  std::ptrdiff_t dist, int threads) {
   const SimdLevel level = active_level();
   const KernelSet* kernels = kernels_for(level);
   const std::uint64_t n = plan.size();
@@ -171,20 +169,11 @@ void execute_many(const core::Plan& plan, double* x, std::size_t count,
   const std::uint64_t groups = static_cast<std::uint64_t>(count) / width;
   const core::PlanNode& root = plan.root();
 
-  // The caller's arena is usable only when the sweep runs on the calling
-  // thread (workers spawned on fresh threads must not share it — an arena
-  // belongs to one thread); ask parallel_chunks' own rule.
-  const bool inline_call = util::parallel_chunks_runs_inline(groups, threads);
   util::parallel_chunks(groups, threads, [&](std::uint64_t begin, std::uint64_t end) {
-    if (begin == end) return;
-    util::AlignedBuffer local;
-    double* buffer;
-    if (inline_call && scratch != nullptr) {
-      buffer = scratch->acquire(n * width);
-    } else {
-      local = util::AlignedBuffer(n * width);
-      buffer = local.data();
-    }
+    // interleaves() caps n * width at the tile, so each chunk's interleave
+    // buffer lives on its own stack: no allocation, nothing shared.  Left
+    // uninitialised: interleave_in writes every double the walk reads.
+    alignas(64) double buffer[kInterleaveMaxDoubles];
     const std::ptrdiff_t w = static_cast<std::ptrdiff_t>(width);
     for (std::uint64_t g = begin; g < end; ++g) {
       double* base = x + static_cast<std::ptrdiff_t>(g * width) * dist;

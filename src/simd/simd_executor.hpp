@@ -18,16 +18,16 @@
 // execute_many adds the batch-interleaved serving shape: groups of W
 // independent vectors are transposed into SIMD lanes so W whole transforms
 // proceed in lockstep (every butterfly full-width, tree-walk overhead
-// amortized W-fold), optionally fanned out across std::thread workers per
-// batch chunk.  Output is bit-identical to core::execute for every path —
-// a tested invariant, not an aspiration.
+// amortized W-fold) through a 4 KiB interleave tile on the stack,
+// optionally fanned out across std::thread workers per batch chunk.
+// Output is bit-identical to core::execute for every path — a tested
+// invariant, not an aspiration.
 #pragma once
 
 #include <cstddef>
 
 #include "core/plan.hpp"
 #include "simd/cpu_features.hpp"
-#include "util/scratch_arena.hpp"
 
 namespace whtlab::simd {
 
@@ -40,15 +40,12 @@ void execute(const core::Plan& plan, double* x, std::ptrdiff_t stride = 1);
 /// Batched transform of `count` vectors, vector v starting at x + v*dist
 /// (|dist| >= plan.size() so vectors do not overlap).  Full groups of W
 /// vectors run batch-interleaved; the remainder runs through execute().
-/// `threads` > 1 splits the groups across that many std::thread workers
-/// (each with its own interleave scratch).  When the call runs on the
-/// calling thread (threads <= 1), `scratch` — if non-null — supplies the
-/// interleave buffer so a serving loop allocates nothing per request; the
-/// function never stores state in it beyond the call.  Re-entrant: safe to
-/// call concurrently on disjoint data with distinct arenas.
+/// `threads` > 1 splits the groups across that many std::thread workers.
+/// Interleaving runs only while W vectors fit a 4 KiB tile, and each chunk
+/// keeps that tile on its own stack, so the call allocates nothing and
+/// shares no state.  Re-entrant: safe to call concurrently on disjoint data.
 void execute_many(const core::Plan& plan, double* x, std::size_t count,
-                  std::ptrdiff_t dist, int threads = 1,
-                  util::ScratchArena* scratch = nullptr);
+                  std::ptrdiff_t dist, int threads = 1);
 
 /// True when execute_many(plan, ..., count, ...) would take the
 /// batch-interleaved path at the active dispatch level — the tiny-transform

@@ -15,21 +15,13 @@
 
 namespace whtlab::util {
 
-/// True when parallel_chunks(total, workers, ...) runs fn inline on the
-/// calling thread (no worker threads spawned).  Exposed so callers deciding
-/// whether caller-owned, single-thread resources (a ScratchArena) may be
-/// handed to fn share ONE copy of the rule with the dispatch itself.
-constexpr bool parallel_chunks_runs_inline(std::uint64_t total, int workers) {
-  return workers <= 1 || total <= 1;
-}
-
 /// Invokes fn(begin, end) over a partition of [0, total) on up to `workers`
 /// std::threads (contiguous, near-equal chunks; never more threads than
-/// items).  parallel_chunks_runs_inline shapes run on the calling thread.
+/// items).  One worker or at most one item runs fn on the calling thread.
 /// fn must be safe to call concurrently on disjoint ranges.
 template <typename Fn>
 void parallel_chunks(std::uint64_t total, int workers, const Fn& fn) {
-  if (parallel_chunks_runs_inline(total, workers)) {
+  if (workers <= 1 || total <= 1) {
     fn(std::uint64_t{0}, total);
     return;
   }

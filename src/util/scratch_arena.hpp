@@ -1,13 +1,10 @@
-// Reusable aligned scratch for execution contexts and staging regions.
+// Reusable aligned staging regions.
 //
-// The serving-oriented execution contract (api/exec_context.hpp) moves every
-// per-call work buffer out of the backends and into caller-owned state.  A
-// ScratchArena is that state's storage: a grow-only, cache-line-aligned
-// double buffer that hands out capacity on demand and keeps it across calls,
-// so a thread serving requests in a loop allocates on its first transform
-// and never again.  Deliberately not thread-safe — one arena belongs to one
-// thread (or one well-ordered call chain); concurrency comes from having
-// many arenas, not from locking one.
+// A ScratchArena is a grow-only, cache-line-aligned double buffer that
+// hands out capacity on demand and keeps it across calls, so a loop that
+// stages requests (the Engine's submit() coalescer) allocates on its first
+// use and never again.  Deliberately not thread-safe — one arena belongs
+// to one thread (or one well-ordered call chain).
 //
 // BumpArena is the fixed-capacity sibling for memory the arena does NOT own
 // — above all the per-client staging regions of the whtd shared-memory

@@ -16,6 +16,7 @@
 #include "core/instrumented.hpp"
 #include "core/plan.hpp"
 #include "util/rng.hpp"
+#include "util/scratch_arena.hpp"
 
 namespace whtlab::api {
 namespace {
@@ -94,8 +95,9 @@ INSTANTIATE_TEST_SUITE_P(AllBackends, SharedTransformTest,
                                            "parallel", "simd", "fused"));
 
 TEST(SharedTransform, PerThreadOpCountsAreExact) {
-  // The instrumented backend's tallies land in each thread's own pooled
-  // context: concurrent executes never tear each other's counts.
+  // The instrumented backend's tallies land in each thread's own context:
+  // concurrent executes of one shared Transform never tear each other's
+  // counts.
   const core::Plan plan = core::Plan::balanced_binary(10, 4);
   const auto transform = Planner().fixed(plan).backend("instrumented").plan();
   const core::OpCounts expected = core::count_ops(plan);
@@ -104,10 +106,12 @@ TEST(SharedTransform, PerThreadOpCountsAreExact) {
   std::vector<std::thread> pool;
   for (int t = 0; t < 8; ++t) {
     pool.emplace_back([&]() {
+      ExecContext ctx;
       std::vector<double> work = random_vector(plan.size(), 5);
       for (int i = 0; i < 6; ++i) {
-        transform.execute(work.data());
-        const core::OpCounts* counts = transform.last_op_counts();
+        ctx.clear_op_counts();
+        transform.execute(work.data(), 1, ctx);
+        const core::OpCounts* counts = ctx.last_op_counts();
         if (counts == nullptr || !(*counts == expected)) wrong.fetch_add(1);
       }
     });
@@ -117,8 +121,7 @@ TEST(SharedTransform, PerThreadOpCountsAreExact) {
 }
 
 TEST(SharedTransform, ExplicitContextCarriesTheCall) {
-  // Caller-owned contexts: tallies and scratch live on the caller's
-  // context, not on the transform's pool.
+  // Caller-owned contexts: the tallies live on the caller's context.
   const core::Plan plan = core::Plan::iterative(8);
   const auto transform = Planner().fixed(plan).backend("instrumented").plan();
   std::vector<double> work = random_vector(plan.size(), 9);
@@ -127,13 +130,11 @@ TEST(SharedTransform, ExplicitContextCarriesTheCall) {
   transform.execute(work.data(), 1, ctx);
   ASSERT_NE(ctx.last_op_counts(), nullptr);
   EXPECT_EQ(*ctx.last_op_counts(), core::count_ops(plan));
-  // The pooled path on this thread saw nothing.
-  EXPECT_EQ(transform.last_op_counts(), nullptr);
 }
 
 TEST(SharedTransform, ApplyIsSafeFromManyThreads) {
-  // apply() stages through per-thread context scratch; concurrent calls
-  // must neither race nor cross results.
+  // apply() transforms in its own result vector; concurrent calls must
+  // neither race nor cross results.
   const core::Plan plan = core::Plan::balanced_binary(8, 4);
   const auto transform = Planner().fixed(plan).backend("simd").plan();
 
@@ -152,64 +153,6 @@ TEST(SharedTransform, ApplyIsSafeFromManyThreads) {
   }
   for (auto& thread : pool) thread.join();
   EXPECT_EQ(mismatches.load(), 0);
-}
-
-TEST(ContextPool, LeasesAreReusedAndBoundedByConcurrency) {
-  ContextPool pool;
-  ExecContext* first = nullptr;
-  {
-    auto lease = pool.acquire();
-    first = &lease.context();
-    EXPECT_EQ(pool.size(), 1u);
-  }
-  {
-    // Sequential calls — even from different threads — reuse the same
-    // context: the pool is bounded by peak concurrent leases, not by how
-    // many threads have ever served.
-    std::thread other([&pool, first]() {
-      auto lease = pool.acquire();
-      EXPECT_EQ(&lease.context(), first);
-    });
-    other.join();
-    EXPECT_EQ(pool.size(), 1u);
-  }
-  {
-    auto one = pool.acquire();
-    auto two = pool.acquire();  // concurrent: a second context is created
-    EXPECT_NE(&one.context(), &two.context());
-    EXPECT_EQ(pool.size(), 2u);
-  }
-}
-
-TEST(ContextPool, TalliesArePerThread) {
-  ContextPool pool;
-  core::OpCounts mine{};
-  mine.flops = 7;
-  pool.record_tallies(mine);
-  ASSERT_NE(pool.tallies(), nullptr);
-  EXPECT_EQ(pool.tallies()->flops, 7u);
-  std::thread other([&pool]() {
-    EXPECT_EQ(pool.tallies(), nullptr);  // never recorded on this thread
-    core::OpCounts theirs{};
-    theirs.flops = 9;
-    pool.record_tallies(theirs);
-    EXPECT_EQ(pool.tallies()->flops, 9u);
-  });
-  other.join();
-  EXPECT_EQ(pool.tallies()->flops, 7u);  // unaffected by the other thread
-}
-
-TEST(ContextPool, ReturnedContextsDropTheirTallies) {
-  // One call's instrumented tallies must not leak into the next lease.
-  ContextPool pool;
-  {
-    auto lease = pool.acquire();
-    core::OpCounts counts{};
-    counts.loads = 3;
-    lease.context().set_op_counts(counts);
-  }
-  auto lease = pool.acquire();
-  EXPECT_EQ(lease.context().last_op_counts(), nullptr);
 }
 
 TEST(ScratchArena, GrowsAndReuses) {

@@ -49,10 +49,11 @@ namespace {
 constexpr int kCalls = 1000;
 
 /// Allocations made on the calling thread by `calls` serves of each shape
-/// the daemon and the in-process callers use: execute(n, x, ctx), and
-/// execute_many(..., ctx) with count 1 and count 16.  Every call starts
-/// from the same pristine input, so no value ever overflows into a
-/// verify_finite strike.
+/// the daemon and the in-process callers use: execute(n, x, ctx) and
+/// execute_many(..., ctx) with count 1 and count 16, plus the context-free
+/// execute(n, x) and execute_many(n, x, 16).  Every call starts from the
+/// same pristine input, so no value ever overflows into a verify_finite
+/// strike.
 std::uint64_t serve_allocations(Engine& engine, int n, int calls) {
 #if WHTLAB_COUNT_ALLOCATIONS
   const std::size_t size = std::size_t{1} << n;
@@ -68,9 +69,13 @@ std::uint64_t serve_allocations(Engine& engine, int n, int calls) {
       engine.execute_many(n, x.data(), 1, dist, ctx);
       std::memcpy(x.data(), input.data(), x.size() * sizeof(double));
       engine.execute_many(n, x.data(), 16, dist, ctx);
+      std::memcpy(x.data(), input.data(), size * sizeof(double));
+      engine.execute(n, x.data());
+      std::memcpy(x.data(), input.data(), x.size() * sizeof(double));
+      engine.execute_many(n, x.data(), 16);
     }
   };
-  serve_all(8);  // first touch: plans, anchors, telemetry series, arenas
+  serve_all(8);  // first touch: plans, anchors, telemetry series
   const std::uint64_t before = t_allocations;
   serve_all(calls);
   return t_allocations - before;
@@ -113,7 +118,7 @@ TEST(EngineAllocation, ArmedBreakerAllocatesOnlyTheInputSnapshot) {
   options.verify_finite = true;
   Engine engine(options);
   for (const int n : {6, 10}) {
-    EXPECT_EQ(serve_allocations(engine, n, kCalls), 3u * kCalls)
+    EXPECT_EQ(serve_allocations(engine, n, kCalls), 5u * kCalls)
         << "n=" << n << ": one snapshot per request, nothing else";
     EXPECT_EQ(engine.stats().failures, 0u);
   }

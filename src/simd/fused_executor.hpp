@@ -4,8 +4,14 @@
 // passes; this module executes such a schedule with the per-ISA fused
 // kernels (simd/kernels.hpp): the unit pass is the in-register contiguous
 // codelet swept across a block, and every strided pass is a flat streaming
-// loop of radix-2/4/8 register tiles, W columns per step.  Dispatch follows
-// the same runtime rules as the tree-walk executor (cpu_features.hpp);
+// loop of radix-2..32 register tiles, W columns per step.  The caller's
+// buffer may start anywhere on the cache-line grid (std::vector storage is
+// often 16 B past a line): strided passes group their columns on the
+// W-double vector grid of the buffer, with one masked edge tile per column
+// group, so their loads and stores never split a line and the output does
+// not depend on the buffer's offset.  Nothing is copied or allocated for
+// it; the contiguous unit pass runs on the buffer as it lies.  Dispatch
+// follows the same runtime rules as the tree-walk executor (cpu_features.hpp);
 // scalar level, strided invocations, and schedules a width cannot cover
 // (transform or unit pass smaller than a vector) fall back to the scalar
 // schedule interpreter — the parity reference.

@@ -49,7 +49,12 @@ struct KernelSet {
   /// `runs` contiguous 2^u-double runs (requires 2^u >= width);
   /// fused_lockstep_pass retires stages [stage, stage+k) over one
   /// contiguous block as radix-2^k register tiles at stride 2^stage,
-  /// `width` columns per step (requires 2^stage >= width).
+  /// `width` columns per step (requires 2^stage >= width).  x may sit
+  /// anywhere on the line grid: the pass groups its columns on the
+  /// width-double vector grid, with one masked edge tile per column group
+  /// for the columns a misaligned x leaves over, so no full-width load or
+  /// store splits a cache line, and the result is bit-identical for every
+  /// offset of x.
   void (*fused_unit_pass)(int u, double* x, std::uint64_t runs) = nullptr;
   void (*fused_lockstep_pass)(int k, int stage, double* x,
                               std::uint64_t block) = nullptr;

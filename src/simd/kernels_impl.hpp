@@ -35,12 +35,11 @@
 #include <cstdint>
 #include <type_traits>
 
-#if defined(__AVX512F__)
-// The gather/scatter leaf needs the vgatherqpd / vscatterqpd intrinsics,
-// which have no vector-extension spelling.  Guarded so only the AVX-512 TU
-// (compiled with -mavx512f) sees the include.
+// The gather/scatter leaf and the masked edge loads/stores of the line-grid
+// passes need intrinsics with no vector-extension spelling (vgatherqpd /
+// vscatterqpd, vmaskmovpd, masked vmovupd).  Both including TUs are
+// compiled with at least -mavx2.
 #include <immintrin.h>
-#endif
 
 #include "core/plan.hpp"
 
@@ -72,8 +71,12 @@ using ivec_t = typename VecOf<W>::itype;
 inline constexpr std::int64_t kSignBit = std::int64_t{1} << 63;
 
 // memcpy-based loads/stores compile to single unaligned vector moves, which
-// run at aligned speed on aligned addresses — and the executor's recursion
-// keeps lockstep addresses W-aligned relative to the caller's base pointer.
+// run at aligned speed on aligned addresses.  The caller's buffer may sit
+// anywhere (std::vector<double> storage is often 16 B past a cache line), so
+// these moves make no alignment assumption; a load that straddles two lines
+// costs both, which is why the fused strided passes regroup their columns
+// onto the vector grid (lockstep_pass_radix) instead of trusting the base
+// pointer.
 template <int W>
 inline vec_t<W> vload(const double* p) {
   vec_t<W> v;
@@ -84,6 +87,37 @@ inline vec_t<W> vload(const double* p) {
 template <int W>
 inline void vstore(double* p, vec_t<W> v) {
   __builtin_memcpy(p, &v, sizeof(v));
+}
+
+/// Loads the lanes whose `mask` entry is all-ones; the other lanes read as
+/// zero and their memory is not accessed (fault-suppressing vmaskmovpd /
+/// masked vmovupd), so those lanes may lie outside the buffer.
+template <int W>
+inline vec_t<W> vload_lanes(const double* p, ivec_t<W> mask) {
+  if constexpr (W == 4) {
+    return (v4df)_mm256_maskload_pd(p, (__m256i)mask);
+  } else {
+    const __m512i m = (__m512i)mask;
+    return (v8df)_mm512_maskz_loadu_pd(_mm512_test_epi64_mask(m, m), p);
+  }
+}
+
+/// Stores the lanes whose `mask` entry is all-ones and leaves the memory of
+/// the others untouched.
+template <int W>
+inline void vstore_lanes(double* p, vec_t<W> v, ivec_t<W> mask) {
+  if constexpr (W == 4) {
+    _mm256_maskstore_pd(p, (__m256i)mask, (__m256d)v);
+  } else {
+    const __m512i m = (__m512i)mask;
+    _mm512_mask_storeu_pd(p, _mm512_test_epi64_mask(m, m), (__m512d)v);
+  }
+}
+
+/// Lane-wise mask ? a : b on the bits (exact for any double).
+template <int W>
+inline vec_t<W> select_lanes(ivec_t<W> mask, vec_t<W> a, vec_t<W> b) {
+  return (vec_t<W>)(((ivec_t<W>)a & mask) | ((ivec_t<W>)b & ~mask));
 }
 
 /// Flips the sign of the lanes whose mask entry is kSignBit (XOR on the
@@ -426,6 +460,63 @@ void fused_unit_pass(int u, double* x, std::uint64_t runs) {
   });
 }
 
+/// Columns of a strided pass before the first W-double boundary at or after
+/// x: 0 when x is on the vector grid, and also when x is not 8-byte aligned
+/// (no regrouping of whole doubles reaches the grid then).
+template <int W>
+inline int grid_head(const double* x) {
+  const auto addr = reinterpret_cast<std::uintptr_t>(x);
+  if (addr % sizeof(double) != 0) return 0;
+  return static_cast<int>((W - addr / sizeof(double) % W) % W);
+}
+
+/// All-ones in lanes [W - head, W), zero below.
+template <int W>
+inline ivec_t<W> upper_lanes(int head) {
+  ivec_t<W> mask;
+  for (int l = 0; l < W; ++l) mask[l] = l >= W - head ? -1 : 0;
+  return mask;
+}
+
+/// The edge tile of a line-grid pass: the W columns [0, head) and
+/// [s - W + head, s) of the radix-M column group at x, 0 < head < W, in one
+/// register tile.  Row i's head columns are the upper lanes of the grid
+/// vector g_i = x + i*s + head - W, and its tail columns are the lower
+/// lanes of g_{i+1}, so a select per row builds the tile from aligned
+/// loads, and a select per row takes it apart into aligned stores.  g_0's
+/// lower and g_M's upper lanes belong to the neighbouring groups, or lie
+/// outside the buffer at its ends: those two vectors go through masks.
+template <int W, int M>
+[[gnu::always_inline]] inline void edge_cols(double* x, std::ptrdiff_t s,
+                                             int head, ivec_t<W> upper) {
+  double* g = x + head - W;
+  vec_t<W> t[M];
+  vec_t<W> lo = vload_lanes<W>(g, upper);
+#pragma GCC unroll 64
+  for (int i = 0; i < M; ++i) {
+    const vec_t<W> hi = i + 1 < M ? vload<W>(g + (i + 1) * s)
+                                  : vload_lanes<W>(g + M * s, ~upper);
+    t[i] = select_lanes<W>(upper, lo, hi);
+    lo = hi;
+  }
+  vector_butterflies<W, M>(t);
+  vstore_lanes<W>(g, t[0], upper);
+#pragma GCC unroll 64
+  for (int i = 1; i < M; ++i) {
+    vstore<W>(g + i * s, select_lanes<W>(upper, t[i], t[i - 1]));
+  }
+  vstore_lanes<W>(g + M * s, t[M - 1], ~upper);
+}
+
+/// One radix-M strided pass over a block, its columns grouped on the vector
+/// grid.  A pass at stride s >= W pairs x[c + i*s] across rows i, so every
+/// column is an independent transform, and x + c + i*s has the line offset
+/// of x + c in every row.  When x is `head` doubles short of the grid, the
+/// tiles at columns head, head + W, ..., s - 2W + head are grid-aligned in
+/// every row, and edge_cols covers the W columns left over, so no full
+/// vector move straddles a line (W = 8: 64 B) or half-line (W = 4).
+/// Regrouping columns changes no sum: the output is bit-identical to the
+/// ungrouped pass for any head.
 template <int W, int M>
 void lockstep_pass_radix(double* x, std::uint64_t s, std::uint64_t block) {
   // Prefetch distance in doubles (8 cache lines ahead on each of the M row
@@ -435,9 +526,12 @@ void lockstep_pass_radix(double* x, std::uint64_t s, std::uint64_t block) {
   // already covers the streams.
   constexpr std::uint64_t kPrefetchAhead = 64;
   const std::uint64_t span = s * M;
+  const int head = grid_head<W>(x);
+  const ivec_t<W> upper = upper_lanes<W>(head);
+  const std::uint64_t tiled = head == 0 ? s : s - W;
   for (std::uint64_t j = 0; j < block; j += span) {
-    double* base = x + j;
-    for (std::uint64_t t = 0; t < s; t += W) {
+    double* base = x + j + head;
+    for (std::uint64_t t = 0; t < tiled; t += W) {
       if (t + kPrefetchAhead < s) {
 #pragma GCC unroll 64
         for (int i = 0; i < M; ++i) {
@@ -445,6 +539,9 @@ void lockstep_pass_radix(double* x, std::uint64_t s, std::uint64_t block) {
         }
       }
       radix_cols<W, M>(base + t, static_cast<std::ptrdiff_t>(s));
+    }
+    if (head != 0) {
+      edge_cols<W, M>(x + j, static_cast<std::ptrdiff_t>(s), head, upper);
     }
   }
 }
@@ -456,7 +553,9 @@ void lockstep_pass_radix(double* x, std::uint64_t s, std::uint64_t block) {
 /// Radix-16/32 are the streaming shapes: 16/32 vectors live per tile (the
 /// whole register file at radix-32 / width-8; narrower ISAs spill to
 /// L1-resident stack, which is still far cheaper than the memory sweep the
-/// wider radix saves).
+/// wider radix saves).  Radix-2..32 group their columns on the vector grid
+/// (lockstep_pass_radix); the runtime-radix body above radix-32, which no
+/// detect_blocking() schedule emits, keeps the plain grouping.
 template <int W>
 void fused_lockstep_pass(int k, int stage, double* x, std::uint64_t block) {
   const std::uint64_t s = std::uint64_t{1} << stage;

@@ -10,6 +10,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <stdexcept>
 #include <string>
@@ -102,6 +103,52 @@ TEST_P(FusedParityTest, BlockGeometrySweep) {
             << "level=" << to_string(level) << " n=" << n
             << " unit=" << config.unit_log2 << " l1=" << config.l1_block_log2
             << " l2=" << config.l2_block_log2 << " i=" << i;
+      }
+    }
+  }
+}
+
+TEST_P(FusedParityTest, EveryElementOffsetKeepsGuardWords) {
+  // A caller's buffer may start anywhere on the line grid (std::vector
+  // storage is often 16 B past a line), and the strided passes regroup
+  // their columns on that grid with masked edge vectors at both ends of the
+  // array.  Guard words on both sides catch a lane that leaks out.  The
+  // small blocking puts streaming passes (stages above the L2 block) at
+  // these small sizes; the host blocking covers the in-cache passes.
+  const SimdLevel level = GetParam();
+  const std::vector<core::BlockingConfig> configs = {detect_blocking(),
+                                                     {8, 3, 10, 12}};
+  constexpr std::uint64_t kGuard = 16;
+  constexpr double kGuardValue = -7.0;
+  for (int n : {3, 9, 12, 13, 15, 16, 17}) {
+    const core::Plan plan = core::Plan::iterative_radix(n, core::kMaxUnrolled);
+    const std::uint64_t size = plan.size();
+    std::vector<double> input(size);
+    util::Rng rng(static_cast<std::uint64_t>(n) * 59 + 1);
+    for (double& v : input) v = rng.uniform(-1, 1);
+    std::vector<double> reference = input;
+    core::execute(plan, reference.data());
+    for (const core::BlockingConfig& config : configs) {
+      const core::Schedule schedule = core::lower_size(n, config);
+      for (std::uint64_t offset = 0; offset < 8; ++offset) {
+        util::AlignedBuffer buffer(kGuard + offset + size + kGuard);
+        buffer.fill(kGuardValue);
+        double* x = buffer.data() + kGuard + offset;
+        std::copy(input.begin(), input.end(), x);
+        execute_fused(schedule, x, 1, level);
+        for (std::uint64_t i = 0; i < size; ++i) {
+          ASSERT_EQ(x[i], reference[i])
+              << "level=" << to_string(level) << " n=" << n
+              << " l2=" << config.l2_block_log2 << " offset=" << offset
+              << " i=" << i;
+        }
+        for (std::uint64_t i = 0; i < buffer.size(); ++i) {
+          if (i >= kGuard + offset && i < kGuard + offset + size) continue;
+          ASSERT_EQ(buffer[i], kGuardValue)
+              << "guard word " << i << " clobbered: level="
+              << to_string(level) << " n=" << n
+              << " l2=" << config.l2_block_log2 << " offset=" << offset;
+        }
       }
     }
   }

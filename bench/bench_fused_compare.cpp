@@ -42,7 +42,8 @@
 //        simd planning pass — see bench_plan_time for the planning-cost
 //        trajectory itself;
 //        --stream-n is a comma list of sizes whose streaming passes and
-//        whole schedule join the per-pass table, default 22,26; the 2^26
+//        whole schedule join the per-pass table, default none; the
+//        committed BENCH_fused.json uses --stream-n 22,26, and the 2^26
 //        array is 512 MiB.)
 #include <algorithm>
 #include <cmath>
@@ -334,7 +335,7 @@ int main(int argc, char** argv) {
   cli.add_bool("no-baseline", "skip the slow scalar generated column");
   cli.add_flag("wisdom", "plan-cache file (skips re-planning on repeat runs)");
   cli.add_flag("stream-n",
-               "sizes whose streaming passes join the per-pass table", "22,26");
+               "sizes whose streaming passes join the per-pass table", "");
   if (!cli.parse(argc, argv)) return 2;
 
   const std::string out = cli.get("out");

@@ -4,7 +4,11 @@
 // interpreter core::execute_schedule.  The whole-transform parity suites
 // reach only the radixes the blocker and the planner happen to emit; these
 // cases reach every arm of the runtime-radix dispatch, so a mis-wired arm
-// fails under its own name (e.g. avx512_lockstep_pass_k4_stage11).
+// fails under its own name (e.g. avx512_lockstep_pass_k4_stage11).  The
+// strided pass also runs at every element offset 1..W-1 from the vector
+// grid (..._stage8_off3), which is where it regroups its columns: at stage
+// log2(W) (stride W) the edge tile is the whole pass.  Every kernel writes
+// between guard words that must come back untouched.
 #include <gtest/gtest.h>
 
 #include <bit>
@@ -29,6 +33,7 @@ struct Case {
   Kernel kernel;
   int k;      ///< radix log2 (u for the unit kernels)
   int stage;  ///< first butterfly stage (strided kernels; 0 for unit)
+  int offset = 0;  ///< doubles from the vector grid to the kernel's base
 };
 
 const char* kernel_name(Kernel kernel) {
@@ -58,7 +63,9 @@ std::vector<Case> all_cases() {
     }
     for (int k = 1; k <= core::kMaxUnrolled; ++k) {
       for (const int stage : {lw, 8, 11}) {
-        cases.push_back({level, Kernel::kLockstepPass, k, stage});
+        for (int offset = 0; offset < vector_width(level); ++offset) {
+          cases.push_back({level, Kernel::kLockstepPass, k, stage, offset});
+        }
       }
       // stride 2W: the leaf must leave the other W columns untouched.
       cases.push_back({level, Kernel::kLeafLockstep, k, lw + 1});
@@ -88,7 +95,12 @@ TEST_P(KernelParityTest, MatchesOnePassScheduleBitwise) {
   // the kernels' outer loops are exercised too.
   const int block_log2 = c.stage + c.k + 1;
   const std::uint64_t size = std::uint64_t{1} << block_log2;
-  util::AlignedBuffer x(size);
+  constexpr std::uint64_t kGuard = 16;
+  constexpr double kGuardValue = -7.0;
+  const std::uint64_t offset = static_cast<std::uint64_t>(c.offset);
+  util::AlignedBuffer buffer(kGuard + offset + size + kGuard);
+  buffer.fill(kGuardValue);
+  double* x = buffer.data() + kGuard + offset;
   util::AlignedBuffer input(size);
   util::AlignedBuffer reference(size);
   util::Rng rng(static_cast<std::uint64_t>(c.k) * 131 +
@@ -102,24 +114,28 @@ TEST_P(KernelParityTest, MatchesOnePassScheduleBitwise) {
   const std::uint64_t stride = std::uint64_t{1} << c.stage;
   switch (c.kernel) {
     case Kernel::kUnitPass:
-      kernels.fused_unit_pass(c.k, x.data(), size >> c.k);
+      kernels.fused_unit_pass(c.k, x, size >> c.k);
       break;
     case Kernel::kLockstepPass:
-      kernels.fused_lockstep_pass(c.k, c.stage, x.data(), size);
+      kernels.fused_lockstep_pass(c.k, c.stage, x, size);
       break;
     case Kernel::kLeafUnit:
       for (std::uint64_t r = 0; r < size; r += std::uint64_t{1} << c.k) {
-        kernels.leaf_unit(c.k, x.data() + r);
+        kernels.leaf_unit(c.k, x + r);
       }
       break;
     case Kernel::kLeafLockstep:
       // One call: columns [0, W) of the first span only.  Every other
       // element must come back as it went in.
-      kernels.leaf_lockstep(c.k, x.data(), static_cast<std::ptrdiff_t>(stride));
+      kernels.leaf_lockstep(c.k, x, static_cast<std::ptrdiff_t>(stride));
       for (std::uint64_t i = 0; i < size; ++i) {
         if (i >= (stride << c.k) || i % stride >= width) reference[i] = input[i];
       }
       break;
+  }
+  for (std::uint64_t i = 0; i < buffer.size(); ++i) {
+    if (i >= kGuard + offset && i < kGuard + offset + size) continue;
+    ASSERT_EQ(buffer[i], kGuardValue) << "guard word " << i << " clobbered";
   }
   for (std::uint64_t i = 0; i < size; ++i) {
     if (x[i] != reference[i]) {
@@ -138,6 +154,7 @@ INSTANTIATE_TEST_SUITE_P(
       if (c.kernel == Kernel::kLockstepPass) {
         name += "_stage" + std::to_string(c.stage);
       }
+      if (c.offset != 0) name += "_off" + std::to_string(c.offset);
       return name;
     });
 // A host or build without any SIMD kernel table has no cases.

@@ -2,8 +2,8 @@
 //
 // Hammer one shared wht::Engine from T client threads and count transforms
 // served per second — the production shape the concurrent-serving redesign
-// targets: immutable shared plans, re-entrant backends, serve-time backend
-// arbitration, and the submit() coalescer.  Four sections:
+// targets: immutable shared plans, re-entrant backends and serve-time
+// backend arbitration.  Three sections:
 //
 //   decisions  the arbiter's backend choice (and every candidate's priced
 //              cost) per request shape — single vectors across the n range
@@ -11,10 +11,8 @@
 //              sensitivity ("fused" big singles, "simd" tiny batches)
 //   single     homogeneous single-vector serving at --gate-n: requests/sec
 //              vs client threads (the CI scaling gate's shape)
-//   mixed      singles + batches across n in [--nmin, --nmax] per the
-//              ISSUE's mixed serving workload
-//   coalesce   submit() pipelines (coalescing batcher) vs the same load as
-//              synchronous singles
+//   mixed      singles across n in [--nmin, --nmax] plus --batch x
+//              n = --batch-n batches
 //
 // Noise convention (README): every cell is the best of --reps runs (we
 // measure capacity, so the max is the statistic — interference only ever
@@ -28,7 +26,6 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
-#include <future>
 #include <memory>
 #include <string>
 #include <thread>
@@ -120,9 +117,7 @@ struct TelemetryOverhead {
 void print_json(std::FILE* out, const std::vector<ShapeDecision>& decisions,
                 const std::vector<int>& threads, int gate_n,
                 const std::vector<double>& single_rps,
-                const std::vector<double>& mixed_rps, int coalesce_n,
-                const std::vector<double>& coalesce_rps,
-                const std::vector<double>& sync_rps,
+                const std::vector<double>& mixed_rps,
                 const TelemetryOverhead& overhead,
                 const wht::Engine::Stats& stats) {
   std::fprintf(out, "{\n  \"bench\": \"serve\",\n");
@@ -163,10 +158,6 @@ void print_json(std::FILE* out, const std::vector<ShapeDecision>& decisions,
   print_series("rps", single_rps);
   std::fprintf(out, "},\n  \"mixed\": {");
   print_series("rps", mixed_rps);
-  std::fprintf(out, "},\n  \"coalesce\": {\"n\": %d, ", coalesce_n);
-  print_series("submit_rps", coalesce_rps);
-  std::fprintf(out, ", ");
-  print_series("sync_rps", sync_rps);
   if (overhead.measured) {
     std::fprintf(out,
                  "},\n  \"telemetry_overhead\": {\"n\": %d, \"on_rps\": %.1f, "
@@ -175,11 +166,11 @@ void print_json(std::FILE* out, const std::vector<ShapeDecision>& decisions,
                  overhead.overhead_pct());
   }
   std::fprintf(out,
-               "},\n  \"engine_stats\": {\"vectors\": %llu, \"batches\": %llu, "
-               "\"coalesced\": %llu}\n}\n",
+               "},\n  \"engine_stats\": {\"vectors\": %llu, \"singles\": %llu, "
+               "\"batches\": %llu}\n}\n",
                static_cast<unsigned long long>(stats.vectors),
-               static_cast<unsigned long long>(stats.batches),
-               static_cast<unsigned long long>(stats.coalesced));
+               static_cast<unsigned long long>(stats.singles),
+               static_cast<unsigned long long>(stats.batches));
 }
 
 }  // namespace
@@ -190,9 +181,8 @@ int main(int argc, char** argv) {
   cli.add_flag("nmin", "smallest mixed-workload transform (log2)", "10");
   cli.add_flag("nmax", "largest mixed-workload transform (log2)", "22");
   cli.add_flag("gate-n", "single-shape section size (log2)", "10");
-  cli.add_flag("coalesce-n", "coalescing section size (log2)", "8");
+  cli.add_flag("batch-n", "batched mixed request size (log2)", "8");
   cli.add_flag("batch", "vectors per batched mixed request", "16");
-  cli.add_flag("pipeline", "in-flight submits per client", "8");
   cli.add_flag("seconds", "measurement seconds per cell", "0.25");
   cli.add_flag("reps", "repetitions per cell (best-of)", "3");
   cli.add_flag("strategy", "planning strategy (estimate/anneal/...)",
@@ -214,19 +204,14 @@ int main(int argc, char** argv) {
   const int nmin = static_cast<int>(cli.get_int("nmin", 10));
   const int nmax = static_cast<int>(cli.get_int("nmax", 22));
   const int gate_n = static_cast<int>(cli.get_int("gate-n", 10));
-  const int coalesce_n = static_cast<int>(cli.get_int("coalesce-n", 8));
+  const int batch_n = static_cast<int>(cli.get_int("batch-n", 8));
   const std::size_t batch = static_cast<std::size_t>(cli.get_int("batch", 16));
-  const int pipeline = static_cast<int>(cli.get_int("pipeline", 8));
   const double seconds = cli.get_double("seconds", 0.25);
   const int reps = static_cast<int>(cli.get_int("reps", 3));
 
   wht::EngineOptions options;
   options.strategy = wht::strategy_from_string(cli.get("strategy"));
   options.wisdom_file = cli.get("wisdom");
-  // Coalescer tuned to the offered load: a batch fills from one client's
-  // pipeline without waiting out the window (the window only pads tails).
-  options.max_batch = static_cast<std::size_t>(pipeline);
-  options.batch_window_us = 100;
   wht::Engine engine(options);
 
   // --- decisions: price the request shapes (also pays planning + anchors
@@ -235,7 +220,7 @@ int main(int argc, char** argv) {
   for (int n = nmin; n <= nmax; n += 4) {
     decisions.push_back({n, 1, engine.arbitrate(n, 1)});
   }
-  for (const int n : {coalesce_n - 2, coalesce_n, coalesce_n + 2}) {
+  for (const int n : {batch_n - 2, batch_n, batch_n + 2}) {
     if (n < 2) continue;
     decisions.push_back({n, batch, engine.arbitrate(n, batch)});
   }
@@ -284,58 +269,22 @@ int main(int argc, char** argv) {
         state.singles.push_back(random_vector(std::uint64_t{1} << n, 20 + i));
       }
       state.batch =
-          random_vector((std::uint64_t{1} << coalesce_n) * batch, 30 + i);
+          random_vector((std::uint64_t{1} << batch_n) * batch, 30 + i);
     }
     mixed_rps.push_back(best_throughput(
         t, seconds, reps,
-        [&engine, &states, &mixed_sizes, coalesce_n, batch](int tid) {
+        [&engine, &states, &mixed_sizes, batch_n, batch](int tid) {
           auto& state = states[static_cast<std::size_t>(tid)];
           const std::size_t shape = state.next++ % (mixed_sizes.size() + 1);
           if (shape < mixed_sizes.size()) {
             engine.execute(mixed_sizes[shape], state.singles[shape].data());
             return std::uint64_t{1};
           }
-          engine.execute_many(coalesce_n, state.batch.data(), batch);
+          engine.execute_many(batch_n, state.batch.data(), batch);
           return static_cast<std::uint64_t>(batch);
         }));
     std::printf("mixed   n=[%d..%d] clients=%-2d  %10.0f req/s\n", nmin, nmax,
                 t, mixed_rps.back());
-  }
-
-  // --- coalesce: submit() pipelines vs synchronous singles ----------------
-  const std::uint64_t coalesce_size = std::uint64_t{1} << coalesce_n;
-  std::vector<double> coalesce_rps;
-  std::vector<double> sync_rps;
-  for (const int t : threads) {
-    std::vector<std::vector<std::vector<double>>> buffers(
-        static_cast<std::size_t>(t));
-    for (int i = 0; i < t; ++i) {
-      for (int p = 0; p < pipeline; ++p) {
-        buffers[static_cast<std::size_t>(i)].push_back(
-            random_vector(coalesce_size, 40 + i * pipeline + p));
-      }
-    }
-    coalesce_rps.push_back(best_throughput(
-        t, seconds, reps, [&engine, &buffers, coalesce_n, pipeline](int tid) {
-          auto& mine = buffers[static_cast<std::size_t>(tid)];
-          std::vector<std::future<void>> inflight;
-          inflight.reserve(static_cast<std::size_t>(pipeline));
-          for (int p = 0; p < pipeline; ++p) {
-            inflight.push_back(
-                engine.submit(coalesce_n,
-                              mine[static_cast<std::size_t>(p)].data()));
-          }
-          for (auto& f : inflight) f.get();
-          return static_cast<std::uint64_t>(pipeline);
-        }));
-    sync_rps.push_back(best_throughput(
-        t, seconds, reps, [&engine, &buffers, coalesce_n](int tid) {
-          engine.execute(coalesce_n,
-                         buffers[static_cast<std::size_t>(tid)][0].data());
-          return std::uint64_t{1};
-        }));
-    std::printf("coalesce n=%-3d clients=%-2d  submit %9.0f req/s   sync %9.0f req/s\n",
-                coalesce_n, t, coalesce_rps.back(), sync_rps.back());
   }
 
   // --- telemetry overhead: recording cost on the hot path -----------------
@@ -405,8 +354,8 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "bench_serve: cannot write %s\n", out_path.c_str());
     return 1;
   }
-  print_json(out, decisions, threads, gate_n, single_rps, mixed_rps,
-             coalesce_n, coalesce_rps, sync_rps, overhead, stats);
+  print_json(out, decisions, threads, gate_n, single_rps, mixed_rps, overhead,
+             stats);
   std::fclose(out);
   std::printf("wrote %s\n", out_path.c_str());
 

@@ -1,7 +1,7 @@
 // Concurrent serving with wht::Engine.
 //
-// One process-wide Engine, many client threads, three request shapes:
-// big single vectors, tiny-n batches, and async submits that coalesce.
+// One process-wide Engine, many client threads, two request shapes: big
+// single vectors and tiny-n batches, each served on the caller's thread.
 // The Engine plans each (size, backend) once, shares the immutable
 // Transforms across every thread, and routes each request to the backend
 // its cost model says is cheapest *for that shape* — watch the decisions
@@ -35,12 +35,10 @@ void print_decision(const char* label, const wht::Engine::Decision& decision) {
 int main(int argc, char** argv) {
   whtlab::util::Cli cli;
   cli.add_flag("clients", "serving threads sharing the Engine", "4");
-  cli.add_flag("requests", "rounds per client (each: single+batch+submit)",
-               "16");
+  cli.add_flag("requests", "rounds per client (each: single+batch)", "16");
   cli.add_flag("single-n", "single-vector request size (log2)", "18");
   cli.add_flag("batch-n", "batched request size (log2)", "6");
   cli.add_flag("batch", "vectors per batched request", "32");
-  cli.add_flag("submit-n", "async submit() request size (log2)", "10");
   cli.add_flag("wisdom", "wisdom file for first-touch plans", "");
   if (!cli.parse(argc, argv)) return 2;
 
@@ -49,7 +47,6 @@ int main(int argc, char** argv) {
   const int single_n = static_cast<int>(cli.get_int("single-n", 18));
   const int batch_n = static_cast<int>(cli.get_int("batch-n", 6));
   const auto batch = static_cast<std::size_t>(cli.get_int("batch", 32));
-  const int submit_n = static_cast<int>(cli.get_int("submit-n", 10));
 
   wht::EngineOptions options;  // defaults: kEstimate plans, measured anchors
   options.wisdom_file = cli.get("wisdom");
@@ -65,15 +62,12 @@ int main(int argc, char** argv) {
   // Serve a mixed load from `clients` threads — one shared Engine, no locks.
   std::vector<std::thread> pool;
   for (int c = 0; c < clients; ++c) {
-    pool.emplace_back([&engine, requests, c, single_n, batch_n, batch,
-                       submit_n]() {
+    pool.emplace_back([&engine, requests, c, single_n, batch_n, batch]() {
       auto big = random_vector(std::size_t{1} << single_n, 1 + c);
       auto tiny = random_vector((std::size_t{1} << batch_n) * batch, 100 + c);
-      auto async = random_vector(std::size_t{1} << submit_n, 200 + c);
       for (int r = 0; r < requests; ++r) {
-        engine.execute(single_n, big.data());           // arbitrated single
+        engine.execute(single_n, big.data());              // arbitrated single
         engine.execute_many(batch_n, tiny.data(), batch);  // arbitrated batch
-        engine.submit(submit_n, async.data()).get();    // coalesces under load
       }
     });
   }
@@ -81,10 +75,9 @@ int main(int argc, char** argv) {
 
   const auto stats = engine.stats();
   std::printf("engine: %s\n", whtlab::api::to_string(stats).c_str());
-  std::printf("served %llu vectors (%llu batched dispatches, "
-              "%llu submits coalesced)\n",
+  std::printf("served %llu vectors (%llu singles, %llu batched dispatches)\n",
               (unsigned long long)stats.vectors,
-              (unsigned long long)stats.batches,
-              (unsigned long long)stats.coalesced);
+              (unsigned long long)stats.singles,
+              (unsigned long long)stats.batches);
   return 0;
 }

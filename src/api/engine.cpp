@@ -1,7 +1,6 @@
 #include "api/engine.hpp"
 
 #include <algorithm>
-#include <chrono>
 #include <cmath>
 #include <cstring>
 #include <ctime>
@@ -70,12 +69,6 @@ Engine::Engine(EngineOptions options) : options_(std::move(options)) {
   if (options_.threads < 1) {
     throw std::invalid_argument("wht::Engine: threads must be >= 1");
   }
-  if (options_.max_batch < 1) {
-    throw std::invalid_argument("wht::Engine: max_batch must be >= 1");
-  }
-  if (options_.batch_window_us < 0) {
-    throw std::invalid_argument("wht::Engine: batch_window_us must be >= 0");
-  }
   if (options_.quarantine_strikes < 0) {
     throw std::invalid_argument("wht::Engine: quarantine_strikes must be >= 0");
   }
@@ -115,17 +108,6 @@ Engine::Engine(EngineOptions options) : options_(std::move(options)) {
   }
   columns_[fallback_].name = kFallbackBackend;
   cells_ = std::make_unique<Cell[]>((kMaxLog2Size + 1) * column_count_);
-}
-
-Engine::~Engine() {
-  {
-    const std::lock_guard<std::mutex> lock(queue_mutex_);
-    stop_ = true;
-  }
-  queue_cv_.notify_all();
-  if (dispatcher_.joinable()) dispatcher_.join();
-  // A dispatcher that never started cannot have left queued work behind
-  // (submit() starts it before enqueueing); promises die with the deque.
 }
 
 Engine::Cell& Engine::built(int n, std::size_t column) {
@@ -309,10 +291,7 @@ std::size_t Engine::run_guarded(const Route& route, int n, double* x,
   const bool resilient =
       options_.quarantine_strikes > 0 && route.column != fallback_;
   // Execution is in place, so a failed or corrupt run has already destroyed
-  // the caller's input by the time the failure is visible.  The snapshot
-  // is a local buffer on purpose: the dispatcher's staging arena may hold
-  // this very batch (serve_group), and ScratchArena::acquire may relocate
-  // on growth.
+  // the caller's input by the time the failure is visible.
   std::vector<double> snapshot;
   if (resilient) {
     snapshot.resize(size * count);
@@ -378,25 +357,14 @@ std::size_t Engine::run_guarded(const Route& route, int n, double* x,
   return fallback_;
 }
 
-void Engine::record(std::size_t column, std::uint64_t vectors, bool batch,
-                    bool from_submit) {
-  constexpr auto relaxed = std::memory_order_relaxed;
-  if (batch) {
-    counters_.batches.fetch_add(1, relaxed);
-    if (from_submit && vectors >= 2) {
-      counters_.coalesced.fetch_add(vectors, relaxed);
-    }
-  } else if (!from_submit) {
-    counters_.singles.fetch_add(1, relaxed);
-  }
-  columns_[column].vectors.fetch_add(vectors, relaxed);
-}
-
 void Engine::serve(int n, double* x, std::size_t count, std::ptrdiff_t dist,
                    ExecContext& ctx) {
   if (count == 0) return;
-  const Route best = route(n, count, nullptr);
-  record(run_guarded(best, n, x, count, dist, ctx), count, count > 1, false);
+  constexpr auto relaxed = std::memory_order_relaxed;
+  const std::size_t served =
+      run_guarded(route(n, count, nullptr), n, x, count, dist, ctx);
+  (count > 1 ? counters_.batches : counters_.singles).fetch_add(1, relaxed);
+  columns_[served].vectors.fetch_add(count, relaxed);
 }
 
 void Engine::execute(int n, double* x) {
@@ -423,124 +391,16 @@ void Engine::execute_many(int n, double* x, std::size_t count,
   serve(n, x, count, dist, ctx);
 }
 
-void Engine::ensure_dispatcher() {
-  // Called with queue_mutex_ held.
-  if (dispatcher_started_) return;
-  dispatcher_started_ = true;
-  dispatcher_ = std::thread([this] { dispatcher_main(); });
-}
-
 std::future<void> Engine::submit(int n, double* x) {
   if (n < 1) throw std::invalid_argument("wht::Engine: n must be >= 1");
-  Pending pending;
-  pending.n = n;
-  pending.x = x;
-  std::future<void> future = pending.promise.get_future();
-  {
-    const std::lock_guard<std::mutex> lock(queue_mutex_);
-    if (stop_) {
-      throw std::logic_error("wht::Engine: submit after shutdown");
-    }
-    ensure_dispatcher();
-    queue_.push_back(std::move(pending));
-  }
-  counters_.submitted.fetch_add(1, std::memory_order_relaxed);
-  queue_cv_.notify_all();
-  return future;
-}
-
-void Engine::dispatcher_main() {
-  std::unique_lock<std::mutex> lock(queue_mutex_);
-  for (;;) {
-    queue_cv_.wait(lock, [this] { return stop_ || !queue_.empty(); });
-    if (queue_.empty()) {
-      if (stop_) return;  // drained: exit only with an empty queue
-      continue;
-    }
-    // Coalescing window: serve the oldest request's size, merging every
-    // same-size request that is queued now or arrives before the window
-    // closes (or the batch fills), into one dispatch.
-    const int n = queue_.front().n;
-    const auto deadline =
-        std::chrono::steady_clock::now() +
-        std::chrono::microseconds(options_.batch_window_us);
-    auto same_n = [this, n] {
-      std::size_t matching = 0;
-      for (const Pending& p : queue_) matching += (p.n == n);
-      return matching;
-    };
-    while (!stop_ && same_n() < options_.max_batch &&
-           queue_cv_.wait_until(lock, deadline) != std::cv_status::timeout) {
-    }
-    std::vector<Pending> group;
-    group.reserve(std::min<std::size_t>(options_.max_batch, queue_.size()));
-    for (auto it = queue_.begin();
-         it != queue_.end() && group.size() < options_.max_batch;) {
-      if (it->n == n) {
-        group.push_back(std::move(*it));
-        it = queue_.erase(it);
-      } else {
-        ++it;
-      }
-    }
-    lock.unlock();
-    serve_group(std::move(group));
-    lock.lock();
-  }
-}
-
-namespace {
-
-/// Ceiling on a coalesced batch's contiguous staging (16 MiB of doubles).
-/// Coalescing pays two memcpys per vector to unlock the batch paths, which
-/// wins exactly where per-transform overhead dominates — tiny transforms.
-/// Above this the copies (and the grow-only arena they would pin for the
-/// Engine's lifetime) outweigh any batch gain, so the group serves
-/// per-vector in place instead.
-constexpr std::uint64_t kMaxStagedDoubles = std::uint64_t{1} << 21;
-
-}  // namespace
-
-void Engine::serve_group(std::vector<Pending> group) {
-  const int n = group.front().n;
-  const std::size_t count = group.size();
-  const std::uint64_t size = std::uint64_t{1} << n;
-  const bool staged = count > 1 && size * count <= kMaxStagedDoubles;
-  ExecContext ctx;
+  std::promise<void> done;
   try {
-    // Price the shape that will actually run: a group too large to stage
-    // serves as independent single-vector requests.
-    const Route best = route(n, staged ? count : 1, nullptr);
-    if (!staged) {
-      for (Pending& p : group) {
-        // run_guarded may reroute ONE vector to the fallback without
-        // disturbing the winner the rest still use.
-        record(run_guarded(best, n, p.x, 1, static_cast<std::ptrdiff_t>(size),
-                           ctx),
-               1, false, true);
-      }
-    } else {
-      // Stage the scattered request buffers contiguously, run ONE batched
-      // call on the arbitrated backend, scatter the results back.  The
-      // staging arena belongs to the dispatcher thread and is reused across
-      // batches, so steady-state serving allocates nothing.
-      double* stage = dispatcher_stage_.acquire(size * count);
-      for (std::size_t v = 0; v < count; ++v) {
-        std::memcpy(stage + v * size, group[v].x, size * sizeof(double));
-      }
-      const std::size_t served =
-          run_guarded(best, n, stage, count,
-                      static_cast<std::ptrdiff_t>(size), ctx);
-      for (std::size_t v = 0; v < count; ++v) {
-        std::memcpy(group[v].x, stage + v * size, size * sizeof(double));
-      }
-      record(served, count, staged, true);
-    }
-    for (Pending& p : group) p.promise.set_value();
+    execute(n, x);
+    done.set_value();
   } catch (...) {
-    const std::exception_ptr error = std::current_exception();
-    for (Pending& p : group) p.promise.set_exception(error);
+    done.set_exception(std::current_exception());
   }
+  return done.get_future();
 }
 
 telemetry::Snapshot Engine::telemetry_snapshot() const {
@@ -551,9 +411,7 @@ Engine::Stats Engine::stats() const {
   constexpr auto relaxed = std::memory_order_relaxed;
   Stats snapshot;
   snapshot.singles = counters_.singles.load(relaxed);
-  snapshot.submitted = counters_.submitted.load(relaxed);
   snapshot.batches = counters_.batches.load(relaxed);
-  snapshot.coalesced = counters_.coalesced.load(relaxed);
   snapshot.failures = counters_.failures.load(relaxed);
   snapshot.fallbacks = counters_.fallbacks.load(relaxed);
   const std::lock_guard<std::mutex> lock(health_mutex_);
@@ -575,8 +433,7 @@ Engine::Stats Engine::stats() const {
 std::string to_string(const Engine::Stats& stats) {
   std::ostringstream out;
   out << "vectors=" << stats.vectors << " singles=" << stats.singles
-      << " submitted=" << stats.submitted << " batches=" << stats.batches
-      << " coalesced=" << stats.coalesced;
+      << " batches=" << stats.batches;
   if (stats.failures > 0 || stats.fallbacks > 0) {
     out << " failures=" << stats.failures << " fallbacks=" << stats.fallbacks;
   }

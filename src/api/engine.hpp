@@ -8,16 +8,14 @@
 //   wht::Engine engine;
 //   engine.execute(16, x);             // single vector, arbitrated backend
 //   engine.execute_many(10, xs, 64);   // batch, arbitrated batch path
-//   auto done = engine.submit(10, y);  // async; concurrent same-size
-//   done.get();                        //   submits coalesce into one batch
 //
 //   * Shared plan cache — one immutable Transform per (n, backend), planned
 //     on first touch through the wht::Planner (wisdom-backed when
 //     EngineOptions::wisdom_file is set: a tuned plan is paid for once per
 //     machine, then every Engine in every process reuses it).  The cache is
 //     a table fixed at construction — sizes 1..kMaxLog2Size by the
-//     candidates plus the "generated" fallback — so a warmed synchronous
-//     request is routed by index with no lock and no allocation.
+//     candidates plus the "generated" fallback — so a warmed request is
+//     routed by index with no lock and no allocation.
 //   * Serve-time backend arbitration — each registered candidate backend is
 //     priced for the request shape (single vector vs batch, size, thread
 //     budget): a measured cycle anchor per (n, backend) by default, or
@@ -27,28 +25,23 @@
 //     backends at serve time: "fused" wins big single vectors (memory
 //     passes), "simd" wins tiny-n batches (interleave), per the prices —
 //     not per a hardcode.
-//   * Coalescing batcher — submit() queues the request and returns a
-//     future; a dispatcher thread merges every same-size request that
-//     arrives within a short window (or until max_batch) into ONE
-//     run_many call on the arbitrated batch backend.  Under concurrent
-//     load, independent callers transparently form batches big enough for
-//     the interleaved/fan-out paths to pay off.
+//
+// Every request runs synchronously on the calling thread; the Engine starts
+// no thread of its own.  A caller with many vectors of one size batches
+// them itself through execute_many, the one batching path.
 //
 // All public methods are thread-safe; one Engine is meant to be shared by
 // an entire process (construct it once, serve from everywhere).
 #pragma once
 
 #include <atomic>
-#include <condition_variable>
 #include <cstddef>
 #include <cstdint>
-#include <deque>
 #include <future>
 #include <map>
 #include <memory>
 #include <mutex>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "api/exec_context.hpp"
@@ -56,7 +49,6 @@
 #include "api/transform.hpp"
 #include "perf/measure.hpp"
 #include "telemetry/registry.hpp"
-#include "util/scratch_arena.hpp"
 
 namespace whtlab::api {
 
@@ -92,12 +84,6 @@ struct EngineOptions {
 
   /// Protocol for the anchor measurements (kept deliberately cheap).
   perf::MeasureOptions measure{/*warmup=*/1, /*repetitions=*/3};
-
-  /// Coalescer: a forming batch dispatches at this many requests ...
-  std::size_t max_batch = 32;
-
-  /// ... or this long after its first request arrived, whichever is first.
-  long batch_window_us = 200;
 
   /// Backend circuit breaker: after this many consecutive serving-time
   /// failures (an exception out of the backend, or a non-finite output
@@ -138,7 +124,6 @@ struct EngineOptions {
 class Engine {
  public:
   explicit Engine(EngineOptions options = {});
-  ~Engine();  ///< drains the submit queue, joins the dispatcher
 
   Engine(const Engine&) = delete;
   Engine& operator=(const Engine&) = delete;
@@ -211,20 +196,18 @@ class Engine {
   void execute_many(int n, double* x, std::size_t count, std::ptrdiff_t dist,
                     ExecContext& ctx);
 
-  /// Queues one in-place transform of x[0 .. 2^n) and returns immediately;
-  /// the future resolves when it ran.  Concurrent submits of the same n
-  /// coalesce into one arbitrated run_many (the dispatcher stages them
-  /// contiguously, runs the batch, scatters results back).  Planning or
-  /// execution errors surface through the future.
+  /// execute(n, x) on the calling thread, returned as an already-ready
+  /// future that holds any planning or execution error (n < 1 throws
+  /// std::invalid_argument directly).  A shim kept only for perfbench's
+  /// engine_small workload; ROADMAP item 8's [benchmark] change deletes
+  /// that caller and this function together.
   std::future<void> submit(int n, double* x);
 
   /// Serving counters (monotonic since construction).
   struct Stats {
     std::uint64_t vectors = 0;       ///< transforms served, all paths
-    std::uint64_t singles = 0;       ///< synchronous execute() requests
-    std::uint64_t submitted = 0;     ///< submit() requests
-    std::uint64_t batches = 0;       ///< run_many dispatches (any path)
-    std::uint64_t coalesced = 0;     ///< submits served in a merged batch (>= 2)
+    std::uint64_t singles = 0;       ///< single-vector requests
+    std::uint64_t batches = 0;       ///< run_many dispatches
     std::uint64_t failures = 0;      ///< serving-time backend failures absorbed
     std::uint64_t fallbacks = 0;     ///< requests re-run on the reference backend
     std::map<std::string, std::uint64_t> per_backend;  ///< vectors per winner
@@ -284,17 +267,9 @@ class Engine {
   /// monotonic tallies, so relaxed increments suffice.
   struct alignas(64) Counters {
     std::atomic<std::uint64_t> singles{0};
-    std::atomic<std::uint64_t> submitted{0};
     std::atomic<std::uint64_t> batches{0};
-    std::atomic<std::uint64_t> coalesced{0};
     std::atomic<std::uint64_t> failures{0};
     std::atomic<std::uint64_t> fallbacks{0};
-  };
-
-  struct Pending {
-    int n = 0;
-    double* x = nullptr;
-    std::promise<void> promise;
   };
 
   /// The built cell for (n, column): builds under the cell's own mutex on
@@ -336,13 +311,6 @@ class Engine {
   void serve(int n, double* x, std::size_t count, std::ptrdiff_t dist,
              ExecContext& ctx);
 
-  void record(std::size_t column, std::uint64_t vectors, bool batch,
-              bool from_submit);
-
-  void dispatcher_main();
-  void serve_group(std::vector<Pending> group);
-  void ensure_dispatcher();
-
   EngineOptions options_;
   std::vector<std::string> candidates_;
   telemetry::Registry telemetry_;
@@ -359,14 +327,6 @@ class Engine {
 
   Counters counters_;
   mutable std::mutex health_mutex_;
-
-  std::mutex queue_mutex_;
-  std::condition_variable queue_cv_;
-  std::deque<Pending> queue_;
-  bool stop_ = false;
-  bool dispatcher_started_ = false;
-  std::thread dispatcher_;
-  util::ScratchArena dispatcher_stage_;  ///< coalesced-batch staging
 };
 
 /// One-line human-readable rendering of a stats snapshot — the export used

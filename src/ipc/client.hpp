@@ -57,7 +57,7 @@
 
 #include "ipc/protocol.hpp"
 #include "ipc/shm.hpp"
-#include "util/scratch_arena.hpp"
+#include "util/bump_arena.hpp"
 
 namespace whtlab::ipc {
 

@@ -192,10 +192,13 @@ void Daemon::bind_stats_page() {
   Shm::unlink(name);
   stats_shm_ = Shm::create(name, sizeof(StatsPage));
   auto* page = static_cast<StatsPage*>(stats_shm_.data());
-  page->header.magic = kStatsMagic;
-  page->header.version = kStatsVersion;
-  page->header.pid = static_cast<std::uint32_t>(::getpid());
-  page->header.epoch = header()->epoch.load(std::memory_order_acquire);
+  StatsPageHeader& h = page->header;
+  stats_write_begin(h);
+  stats_store(h.magic, kStatsMagic);
+  stats_store(h.version, kStatsVersion);
+  stats_store(h.pid, static_cast<std::uint32_t>(::getpid()));
+  stats_store(h.epoch, header()->epoch.load(std::memory_order_acquire));
+  stats_write_end(h);
 }
 
 void Daemon::publish_stats_page() {
@@ -203,31 +206,35 @@ void Daemon::publish_stats_page() {
   auto* page = static_cast<StatsPage*>(stats_shm_.data());
   const telemetry::Snapshot series = engine_->telemetry_snapshot();
   const api::Engine::Stats totals = engine_->stats();
-  stats_write_begin(page->header);
-  page->header.published_ns = monotonic_ns();
-  page->header.totals.requests = totals.singles + totals.batches;
-  page->header.totals.vectors = totals.vectors;
-  page->header.totals.batches = totals.batches;
-  page->header.totals.failures = totals.failures;
-  page->header.totals.fallbacks = totals.fallbacks;
+  StatsPageHeader& h = page->header;
+  stats_write_begin(h);
+  stats_store(h.published_ns, monotonic_ns());
+  stats_store(h.totals.requests, totals.singles + totals.batches);
+  stats_store(h.totals.vectors, totals.vectors);
+  stats_store(h.totals.batches, totals.batches);
+  stats_store(h.totals.failures, totals.failures);
+  stats_store(h.totals.fallbacks, totals.fallbacks);
   const std::uint32_t count = static_cast<std::uint32_t>(
       std::min<std::size_t>(series.size(), kStatsSeriesCapacity));
-  page->header.series_count = count;
+  stats_store(h.series_count, count);
   for (std::uint32_t i = 0; i < count; ++i) {
     const telemetry::SeriesSnapshot& in = series[i];
     StatsSeries& out = page->series[i];
-    out.n = in.n;
-    out.batch = in.batch ? 1 : 0;
-    std::snprintf(out.backend, sizeof(out.backend), "%s",
-                  in.backend.c_str());
-    out.count = in.stats.count;
-    out.min = in.stats.count == 0 ? 0 : in.stats.min;
-    out.max = in.stats.max;
-    out.mean = in.stats.mean();
-    out.p50 = in.stats.percentile(0.50);
-    out.p99 = in.stats.percentile(0.99);
+    stats_store(out.n, in.n);
+    stats_store(out.batch, in.batch ? 1 : 0);
+    char backend[sizeof(out.backend)];
+    std::snprintf(backend, sizeof(backend), "%s", in.backend.c_str());
+    for (std::size_t c = 0; c < sizeof(backend); ++c) {
+      stats_store(out.backend[c], backend[c]);
+    }
+    stats_store(out.count, in.stats.count);
+    stats_store(out.min, in.stats.count == 0 ? 0 : in.stats.min);
+    stats_store(out.max, in.stats.max);
+    stats_store(out.mean, in.stats.mean());
+    stats_store(out.p50, in.stats.percentile(0.50));
+    stats_store(out.p99, in.stats.percentile(0.99));
   }
-  stats_write_end(page->header);
+  stats_write_end(h);
 }
 
 void Daemon::release_stats_page() {

@@ -1,6 +1,5 @@
 #include "ipc/protocol.hpp"
 
-#include <cstring>
 #include <ctime>
 
 #include "ipc/shm.hpp"
@@ -84,25 +83,47 @@ std::string to_string(const DaemonStats& stats) {
 
 namespace {
 
-/// Field-wise page copy.  The seqlock word is the page's one atomic, which
-/// leaves StatsPage without a trivial copy, so it moves by a relaxed load
-/// and store; every other field is plain data.
+/// Field-wise page copy through stats_load.  The seqlock word moves by a
+/// relaxed load and store (the caller's own seq reads order it).
 void copy_page(const StatsPage& from, StatsPage& to) {
   static_assert(sizeof(StatsPageHeader) == 48 + sizeof(StatsTotals),
                 "a new header field must be copied below");
+  static_assert(sizeof(StatsTotals) == 5 * sizeof(std::uint64_t),
+                "a new totals field must be copied below");
+  static_assert(sizeof(StatsSeries) == 8 + sizeof(StatsSeries::backend) +
+                                           6 * sizeof(std::uint64_t),
+                "a new series field must be copied below");
   const StatsPageHeader& src = from.header;
   StatsPageHeader& dst = to.header;
-  dst.magic = src.magic;
-  dst.version = src.version;
-  dst.pid = src.pid;
-  dst.epoch = src.epoch;
+  dst.magic = stats_load(src.magic);
+  dst.version = stats_load(src.version);
+  dst.pid = stats_load(src.pid);
+  dst.epoch = stats_load(src.epoch);
   dst.seq.store(src.seq.load(std::memory_order_relaxed),
                 std::memory_order_relaxed);
-  dst.published_ns = src.published_ns;
-  dst.series_count = src.series_count;
-  dst.reserved = src.reserved;
-  dst.totals = src.totals;
-  std::memcpy(to.series, from.series, sizeof(from.series));
+  dst.published_ns = stats_load(src.published_ns);
+  dst.series_count = stats_load(src.series_count);
+  dst.reserved = stats_load(src.reserved);
+  dst.totals.requests = stats_load(src.totals.requests);
+  dst.totals.vectors = stats_load(src.totals.vectors);
+  dst.totals.batches = stats_load(src.totals.batches);
+  dst.totals.failures = stats_load(src.totals.failures);
+  dst.totals.fallbacks = stats_load(src.totals.fallbacks);
+  for (std::uint32_t i = 0; i < kStatsSeriesCapacity; ++i) {
+    const StatsSeries& in = from.series[i];
+    StatsSeries& out = to.series[i];
+    out.n = stats_load(in.n);
+    out.batch = stats_load(in.batch);
+    for (std::size_t c = 0; c < sizeof(in.backend); ++c) {
+      out.backend[c] = stats_load(in.backend[c]);
+    }
+    out.count = stats_load(in.count);
+    out.min = stats_load(in.min);
+    out.max = stats_load(in.max);
+    out.mean = stats_load(in.mean);
+    out.p50 = stats_load(in.p50);
+    out.p99 = stats_load(in.p99);
+  }
 }
 
 }  // namespace
@@ -113,7 +134,6 @@ bool stats_read(const StatsPage& shared, StatsPage& out, int retries) {
         shared.header.seq.load(std::memory_order_acquire);
     if (before & 1) continue;  // publish in progress
     copy_page(shared, out);
-    std::atomic_thread_fence(std::memory_order_acquire);
     const std::uint64_t after =
         shared.header.seq.load(std::memory_order_relaxed);
     if (before == after) return true;

@@ -37,6 +37,7 @@
 #include <cstdint>
 #include <stdexcept>
 #include <string>
+#include <type_traits>
 
 #include "ipc/spsc_ring.hpp"
 
@@ -377,6 +378,23 @@ inline void stats_write_begin(StatsPageHeader& header) {
 }
 inline void stats_write_end(StatsPageHeader& header) {
   header.seq.fetch_add(1, std::memory_order_release);
+}
+
+/// Every page field between the edges moves through std::atomic_ref, so a
+/// reader racing a publish is a race the compiler may not tear and TSan can
+/// follow, with no standalone fence.  A reader whose acquire load sees a
+/// value of an unfinished publish also sees that publish's odd seq in its
+/// closing read, which therefore cannot hoist above the body loads.  On
+/// x86 both are plain moves.
+template <typename T>
+void stats_store(T& field, std::type_identity_t<T> value) {
+  std::atomic_ref<T>(field).store(value, std::memory_order_release);
+}
+template <typename T>
+T stats_load(const T& field) {
+  // Only loads: the observer's read-only mapping is never written.
+  return std::atomic_ref<T>(const_cast<T&>(field))
+      .load(std::memory_order_acquire);
 }
 
 /// Seqlock-consistent copy of the page: retries while the writer is mid-

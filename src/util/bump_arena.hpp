@@ -1,15 +1,7 @@
-// Reusable aligned staging regions.
-//
-// A ScratchArena is a grow-only, cache-line-aligned double buffer that
-// hands out capacity on demand and keeps it across calls, so a loop that
-// stages requests (the Engine's submit() coalescer) allocates on its first
-// use and never again.  Deliberately not thread-safe — one arena belongs
-// to one thread (or one well-ordered call chain).
-//
-// BumpArena is the fixed-capacity sibling for memory the arena does NOT own
-// — above all the per-client staging regions of the whtd shared-memory
-// segment (ipc/protocol.hpp), where "grow" is impossible and allocations
-// must be describable as plain offsets so the other process can find them.
+// Fixed-capacity staging over memory the arena does NOT own — above all the
+// per-client staging regions of the whtd shared-memory segment
+// (ipc/protocol.hpp), where "grow" is impossible and allocations must be
+// describable as plain offsets so the other process can find them.
 // Sequential bump allocation with explicit whole-arena reset matches the
 // request lifecycle exactly: stage vectors, serve them in place, reset when
 // nothing is in flight.
@@ -18,36 +10,7 @@
 #include <cstddef>
 #include <functional>
 
-#include "util/aligned_buffer.hpp"
-
 namespace whtlab::util {
-
-class ScratchArena {
- public:
-  ScratchArena() = default;
-  ScratchArena(ScratchArena&&) noexcept = default;
-  ScratchArena& operator=(ScratchArena&&) noexcept = default;
-  ScratchArena(const ScratchArena&) = delete;
-  ScratchArena& operator=(const ScratchArena&) = delete;
-
-  /// A cache-line-aligned buffer of at least `count` doubles, valid until the
-  /// next acquire() or the arena's destruction.  Contents are unspecified on
-  /// entry (callers own initialization).  Growth is geometric so a ramp of
-  /// request sizes settles after O(log max) reallocations.
-  double* acquire(std::size_t count) {
-    if (count > buffer_.size()) {
-      std::size_t grown = buffer_.size() < 64 ? 64 : buffer_.size();
-      while (grown < count) grown *= 2;
-      buffer_ = AlignedBuffer(grown);
-    }
-    return buffer_.data();
-  }
-
-  std::size_t capacity() const { return buffer_.size(); }
-
- private:
-  AlignedBuffer buffer_;
-};
 
 /// Bump allocator over caller-provided double storage (typically a region of
 /// a shared-memory segment).  Allocations advance a cursor, rounded up to

@@ -16,7 +16,6 @@
 #include "core/instrumented.hpp"
 #include "core/plan.hpp"
 #include "util/rng.hpp"
-#include "util/scratch_arena.hpp"
 
 namespace whtlab::api {
 namespace {
@@ -153,19 +152,6 @@ TEST(SharedTransform, ApplyIsSafeFromManyThreads) {
   }
   for (auto& thread : pool) thread.join();
   EXPECT_EQ(mismatches.load(), 0);
-}
-
-TEST(ScratchArena, GrowsAndReuses) {
-  util::ScratchArena arena;
-  double* small = arena.acquire(16);
-  ASSERT_NE(small, nullptr);
-  const std::size_t cap = arena.capacity();
-  EXPECT_GE(cap, 16u);
-  EXPECT_EQ(arena.acquire(8), small);   // no shrink, same buffer
-  EXPECT_EQ(arena.capacity(), cap);
-  double* big = arena.acquire(4096);    // grows
-  ASSERT_NE(big, nullptr);
-  EXPECT_GE(arena.capacity(), 4096u);
 }
 
 }  // namespace

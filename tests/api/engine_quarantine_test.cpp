@@ -236,7 +236,7 @@ TEST_F(EngineQuarantineTest, SubmitPathFallsBackToo) {
   const auto expected = reference_wht(n, input);
   auto x = input;
   auto done = engine.submit(n, x.data());
-  done.get();  // the dispatcher absorbed the failure; no exception
+  done.get();  // the breaker absorbed the failure; no exception
   EXPECT_EQ(0, std::memcmp(x.data(), expected.data(),
                            expected.size() * sizeof(double)));
   EXPECT_GE(engine.stats().fallbacks, 1u);

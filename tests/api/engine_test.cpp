@@ -1,12 +1,14 @@
 // wht::Engine: shared plan cache, serve-time backend arbitration by request
-// shape, the coalescing submit batcher, and thread-safety of the whole
+// shape, serving on the caller's thread only, and thread-safety of the whole
 // serving surface (runs under the TSan CI job).
 #include "api/engine.hpp"
 
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstddef>
+#include <filesystem>
 #include <future>
 #include <stdexcept>
 #include <thread>
@@ -169,37 +171,38 @@ TEST(Engine, ExecuteMatchesSharedTransformSerial) {
   EXPECT_EQ(engine.transform(10, "generated").get(), transform.get());
 }
 
-TEST(Engine, CoalescesConcurrentSubmitsIntoOneBatch) {
-  EngineOptions options;
-  options.backends = {"generated"};
-  options.measure_costs = false;
-  options.max_batch = 8;
-  options.batch_window_us = 300000;  // plenty: the batch must fill, not time out
-  Engine engine(options);
+/// Threads of this process right now (one /proc/self/task entry each).
+std::size_t thread_count() {
+  std::size_t count = 0;
+  for ([[maybe_unused]] const auto& entry :
+       std::filesystem::directory_iterator("/proc/self/task")) {
+    ++count;
+  }
+  return count;
+}
 
-  constexpr int kN = 6;
-  const std::uint64_t size = 1u << kN;
-  const auto input = random_vector(size, 4);
-  auto reference = input;
-  engine.transform(kN, "generated")->execute(reference.data());
-
-  std::vector<std::vector<double>> buffers(8, input);
-  std::vector<std::future<void>> futures;
-  for (auto& buffer : buffers) futures.push_back(engine.submit(kN, buffer.data()));
-  for (auto& future : futures) future.get();
-
-  for (const auto& buffer : buffers) EXPECT_EQ(buffer, reference);
-  const auto stats = engine.stats();
-  EXPECT_EQ(stats.submitted, 8u);
-  EXPECT_EQ(stats.batches, 1u);   // ONE run_many served all eight
-  EXPECT_EQ(stats.coalesced, 8u);
+TEST(Engine, StartsNoThread) {
+  const std::size_t before = thread_count();
+  Engine engine;
+  for (const int n : {6, 10}) {
+    const std::uint64_t size = std::uint64_t{1} << n;
+    auto single = random_vector(size, 11);
+    engine.execute(n, single.data());
+    auto batch = random_vector(size * 4, 12);
+    engine.execute_many(n, batch.data(), 4);
+    auto async = random_vector(size, 13);
+    auto done = engine.submit(n, async.data());
+    EXPECT_EQ(done.wait_for(std::chrono::seconds(0)),
+              std::future_status::ready);
+    done.get();
+    EXPECT_EQ(thread_count(), before) << "n = " << n;
+  }
 }
 
 TEST(Engine, SubmitErrorsSurfaceThroughTheFuture) {
   EngineOptions options;
   options.backends = {"generated"};
   options.measure_costs = false;
-  options.batch_window_us = 0;
   Engine engine(options);
   double dummy = 0.0;
   auto future = engine.submit(30, &dummy);  // planner rejects n > 26
@@ -217,7 +220,6 @@ TEST(Engine, ConcurrentMixedServingIsCorrect) {
   EngineOptions options;
   options.backends = {"generated", "simd"};
   options.measure_costs = false;
-  options.batch_window_us = 100;
   Engine engine(options);
 
   constexpr int kN = 9;

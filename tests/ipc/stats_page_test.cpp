@@ -1,5 +1,7 @@
 // The whtd telemetry stats page: a forked read-only observer racing a
-// serving daemon must never see a torn snapshot.
+// serving daemon, and a reader thread racing a publisher thread in one
+// process (the case ThreadSanitizer can follow), must never see a torn
+// snapshot.
 //
 // The page is seqlock-guarded (protocol.hpp): the daemon publishes whole
 // snapshots between stats_write_begin/end, observers copy with
@@ -20,9 +22,12 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <atomic>
 #include <cstring>
 #include <map>
+#include <memory>
 #include <string>
+#include <thread>
 #include <tuple>
 
 #include "ipc/client.hpp"
@@ -150,6 +155,95 @@ TEST(IpcStatsPage, ForkedObserverNeverSeesATornSnapshot) {
   }
   EXPECT_EQ(page.header.totals.requests, requests + 1);
   EXPECT_EQ(page.header.totals.vectors, requests + batch);
+}
+
+/// Publishes snapshot `k` the way Daemon::publish_stats_page does: every
+/// field between the seqlock edges through stats_store, each a function of
+/// k alone, so a copy mixing two publishes cannot pass page_is_whole.
+void publish(StatsPage& page, std::uint64_t k) {
+  StatsPageHeader& h = page.header;
+  stats_write_begin(h);
+  stats_store(h.published_ns, k);
+  stats_store(h.series_count, kStatsSeriesCapacity);
+  stats_store(h.totals.requests, k);
+  stats_store(h.totals.vectors, 2 * k);
+  stats_store(h.totals.batches, 3 * k);
+  stats_store(h.totals.failures, 4 * k);
+  stats_store(h.totals.fallbacks, 5 * k);
+  for (StatsSeries& s : page.series) {
+    stats_store(s.n, static_cast<std::int32_t>(k));
+    stats_store(s.batch, static_cast<std::uint32_t>(k & 1));
+    for (std::size_t c = 0; c + 1 < sizeof(s.backend); ++c) {
+      stats_store(s.backend[c], static_cast<char>('a' + (k + c) % 26));
+    }
+    stats_store(s.count, k);
+    stats_store(s.min, k);
+    stats_store(s.max, k + 1);
+    stats_store(s.mean, static_cast<double>(k));
+    stats_store(s.p50, static_cast<double>(k));
+    stats_store(s.p99, static_cast<double>(k + 1));
+  }
+  stats_write_end(h);
+}
+
+/// True when every field of the copy belongs to the publish its
+/// published_ns names.
+bool page_is_whole(const StatsPage& page) {
+  const StatsPageHeader& h = page.header;
+  const std::uint64_t k = h.published_ns;
+  if (h.series_count != kStatsSeriesCapacity || h.totals.requests != k ||
+      h.totals.vectors != 2 * k || h.totals.batches != 3 * k ||
+      h.totals.failures != 4 * k || h.totals.fallbacks != 5 * k) {
+    return false;
+  }
+  for (const StatsSeries& s : page.series) {
+    if (s.n != static_cast<std::int32_t>(k) || s.batch != (k & 1) ||
+        s.count != k || s.min != k || s.max != k + 1 ||
+        s.mean != static_cast<double>(k) || s.p50 != static_cast<double>(k) ||
+        s.p99 != static_cast<double>(k + 1)) {
+      return false;
+    }
+    for (std::size_t c = 0; c + 1 < sizeof(s.backend); ++c) {
+      if (s.backend[c] != static_cast<char>('a' + (k + c) % 26)) return false;
+    }
+  }
+  return true;
+}
+
+TEST(StatsSeqlock, ThreadedReaderNeverSeesATornPage) {
+  constexpr std::uint64_t kPublishes = 2000;
+  const auto shared = std::make_unique<StatsPage>();
+  publish(*shared, 1);
+
+  std::atomic<bool> done{false};
+  std::thread publisher([&shared, &done] {
+    for (std::uint64_t k = 2; k <= kPublishes; ++k) {
+      publish(*shared, k);
+      std::this_thread::yield();  // give the reader a window between publishes
+    }
+    done.store(true, std::memory_order_release);
+  });
+
+  const auto page = std::make_unique<StatsPage>();
+  int torn = 0;
+  int whole = 0;
+  std::uint64_t last = 0;
+  while (!done.load(std::memory_order_acquire)) {
+    if (!stats_read(*shared, *page)) continue;  // publish storm: retry
+    if (!page_is_whole(*page) || page->header.published_ns < last) {
+      ++torn;
+    } else {
+      ++whole;
+      last = page->header.published_ns;
+    }
+  }
+  publisher.join();
+
+  EXPECT_EQ(torn, 0);
+  EXPECT_GT(whole, 0);
+  ASSERT_TRUE(stats_read(*shared, *page));
+  EXPECT_TRUE(page_is_whole(*page));
+  EXPECT_EQ(page->header.published_ns, kPublishes);
 }
 
 }  // namespace

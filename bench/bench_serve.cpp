@@ -1,18 +1,18 @@
 // bench_serve — concurrent serving throughput driver (writes BENCH_serve.json).
 //
-// Hammer one shared wht::Engine from T client threads and count transforms
-// served per second — the production shape the concurrent-serving redesign
+// Hammer one shared wht::Engine from T client threads and count requests
+// (execute / execute_many calls) served per second — the production shape the concurrent-serving redesign
 // targets: immutable shared plans, re-entrant backends and serve-time
 // backend arbitration.  Three sections:
 //
 //   decisions  the arbiter's backend choice (and every candidate's priced
 //              cost) per request shape — single vectors across the n range
-//              and tiny-n batches; the committed JSON documents the shape
-//              sensitivity ("fused" big singles, "simd" tiny batches)
+//              and batches of --batch vectors around --batch-n; a batch
+//              costs --batch x the single anchor of its size
 //   single     homogeneous single-vector serving at --gate-n: requests/sec
 //              vs client threads (the CI scaling gate's shape)
 //   mixed      singles across n in [--nmin, --nmax] plus --batch x
-//              n = --batch-n batches
+//              n = --batch-n batches, one request per call either way
 //
 // Noise convention (README): every cell is the best of --reps runs (we
 // measure capacity, so the max is the statistic — interference only ever
@@ -42,8 +42,8 @@ using namespace whtlab;
 
 using util::random_vector;
 
-/// Runs `clients` threads against `work` for ~`seconds`; returns vectors/s.
-/// `work(tid)` serves one unit and returns the vectors it served.
+/// Runs `clients` threads against `work` for ~`seconds`; returns requests/s.
+/// Each `work(tid)` call serves one request, whatever its vector count.
 template <typename WorkFn>
 double throughput(int clients, double seconds, const WorkFn& work) {
   std::atomic<bool> go{false};
@@ -56,7 +56,8 @@ double throughput(int clients, double seconds, const WorkFn& work) {
       while (!go.load(std::memory_order_acquire)) std::this_thread::yield();
       std::uint64_t local = 0;
       while (!stop.load(std::memory_order_relaxed)) {
-        local += work(t);
+        work(t);
+        ++local;
       }
       served.fetch_add(local);
     });
@@ -246,7 +247,6 @@ int main(int argc, char** argv) {
     single_rps.push_back(best_throughput(
         t, seconds, reps, [&engine, &buffers, gate_n](int tid) {
           engine.execute(gate_n, buffers[static_cast<std::size_t>(tid)].data());
-          return std::uint64_t{1};
         }));
     std::printf("single  n=%-3d clients=%-2d  %10.0f req/s\n", gate_n, t,
                 single_rps.back());
@@ -278,10 +278,9 @@ int main(int argc, char** argv) {
           const std::size_t shape = state.next++ % (mixed_sizes.size() + 1);
           if (shape < mixed_sizes.size()) {
             engine.execute(mixed_sizes[shape], state.singles[shape].data());
-            return std::uint64_t{1};
+          } else {
+            engine.execute_many(batch_n, state.batch.data(), batch);
           }
-          engine.execute_many(batch_n, state.batch.data(), batch);
-          return static_cast<std::uint64_t>(batch);
         }));
     std::printf("mixed   n=[%d..%d] clients=%-2d  %10.0f req/s\n", nmin, nmax,
                 t, mixed_rps.back());
@@ -321,7 +320,6 @@ int main(int argc, char** argv) {
     const auto time_probe = [&](wht::Engine& probe) {
       return throughput(1, window, [&probe, &buffer, overhead_n](int) {
         probe.execute(overhead_n, buffer.data());
-        return std::uint64_t{1};
       });
     };
     // Pay planning, then warm caches and clocks before timing.

@@ -212,14 +212,7 @@ Engine::Route Engine::route(int n, std::size_t count,
       if (honour_quarantine && quarantine_blocked(columns_[c])) continue;
       try {
         Cell& cell = built(n, c);
-        // Per-vector price for this shape: the first-touch anchor, scaled
-        // by batch_factor for the batch path.
-        double per_vector = cell.unit_cost;
-        if (count > 1) {
-          per_vector *= cell.transform->backend().batch_factor(
-              cell.transform->plan(), count, options_.threads);
-        }
-        const double cost = per_vector * static_cast<double>(count);
+        const double cost = cell.unit_cost * static_cast<double>(count);
         if (ranking != nullptr) ranking->push_back({candidates_[c], cost});
         if (best.cell == nullptr || cost < best.cost) best = {c, &cell, cost};
       } catch (...) {
@@ -284,8 +277,7 @@ void Engine::on_backend_success(Column& column) {
 }
 
 std::size_t Engine::run_guarded(const Route& route, int n, double* x,
-                                std::size_t count, std::ptrdiff_t dist,
-                                ExecContext& ctx) {
+                                std::size_t count, std::ptrdiff_t dist) {
   const std::uint64_t size = std::uint64_t{1} << n;
   Column& column = columns_[route.column];
   const bool resilient =
@@ -303,9 +295,9 @@ std::size_t Engine::run_guarded(const Route& route, int n, double* x,
   }
   const auto run = [&](const Transform& t) {
     if (count == 1) {
-      t.execute(x, 1, ctx);
+      t.execute(x);
     } else {
-      t.execute_many(x, count, dist, ctx);
+      t.execute_many(x, count, dist);
     }
   };
   telemetry::Accumulator* telem =
@@ -357,38 +349,29 @@ std::size_t Engine::run_guarded(const Route& route, int n, double* x,
   return fallback_;
 }
 
-void Engine::serve(int n, double* x, std::size_t count, std::ptrdiff_t dist,
-                   ExecContext& ctx) {
+void Engine::serve(int n, double* x, std::size_t count, std::ptrdiff_t dist) {
+  check_size(n);
   if (count == 0) return;
   constexpr auto relaxed = std::memory_order_relaxed;
   const std::size_t served =
-      run_guarded(route(n, count, nullptr), n, x, count, dist, ctx);
+      run_guarded(route(n, count, nullptr), n, x, count, dist);
   (count > 1 ? counters_.batches : counters_.singles).fetch_add(1, relaxed);
   columns_[served].vectors.fetch_add(count, relaxed);
 }
 
 void Engine::execute(int n, double* x) {
-  ExecContext ctx;
-  execute(n, x, ctx);
+  check_size(n);  // before the shift, which a bad n would overflow
+  serve(n, x, 1, std::ptrdiff_t{1} << n);
 }
 
 void Engine::execute_many(int n, double* x, std::size_t count) {
-  execute_many(n, x, count, static_cast<std::ptrdiff_t>(std::uint64_t{1} << n));
+  check_size(n);
+  serve(n, x, count, std::ptrdiff_t{1} << n);
 }
 
 void Engine::execute_many(int n, double* x, std::size_t count,
                           std::ptrdiff_t dist) {
-  ExecContext ctx;
-  execute_many(n, x, count, dist, ctx);
-}
-
-void Engine::execute(int n, double* x, ExecContext& ctx) {
-  serve(n, x, 1, static_cast<std::ptrdiff_t>(std::uint64_t{1} << n), ctx);
-}
-
-void Engine::execute_many(int n, double* x, std::size_t count,
-                          std::ptrdiff_t dist, ExecContext& ctx) {
-  serve(n, x, count, dist, ctx);
+  serve(n, x, count, dist);
 }
 
 std::future<void> Engine::submit(int n, double* x) {

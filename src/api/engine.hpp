@@ -3,7 +3,7 @@
 // A Transform is immutable and re-entrant (transform.hpp), so the natural
 // serving architecture is: plan once per (size, backend), share the plans
 // among every serving thread, and decide *which* backend answers each
-// request from the request's shape.  Engine packages exactly that:
+// request from the request's size.  Engine packages exactly that:
 //
 //   wht::Engine engine;
 //   engine.execute(16, x);             // single vector, arbitrated backend
@@ -17,14 +17,14 @@
 //     candidates plus the "generated" fallback — so a warmed request is
 //     routed by index with no lock and no allocation.
 //   * Serve-time backend arbitration — each registered candidate backend is
-//     priced for the request shape (single vector vs batch, size, thread
-//     budget): a measured cycle anchor per (n, backend) by default, or
-//     its cost_model() / the CombinedModel at its vector width with
-//     measure_costs off, scaled by ExecutorBackend::batch_factor for the
-//     batch shape.  The measure-or-model autotuning idea, applied across
-//     backends at serve time: "fused" wins big single vectors (memory
-//     passes), "simd" wins tiny-n batches (interleave), per the prices —
-//     not per a hardcode.
+//     priced per vector of size 2^n: a measured cycle anchor per
+//     (n, backend) by default, or its cost_model() / the CombinedModel at
+//     its vector width with measure_costs off.  A request of `count`
+//     vectors costs count × that anchor, so a batch goes where a single of
+//     its size goes.  The measure-or-model autotuning idea, applied across
+//     backends at serve time: "fused" wins big vectors (memory passes),
+//     "simd" or "generated" the small ones, per the prices — not per a
+//     hardcode.
 //
 // Every request runs synchronously on the calling thread; the Engine starts
 // no thread of its own.  A caller with many vectors of one size batches
@@ -44,7 +44,6 @@
 #include <string>
 #include <vector>
 
-#include "api/exec_context.hpp"
 #include "api/planner.hpp"
 #include "api/transform.hpp"
 #include "perf/measure.hpp"
@@ -64,10 +63,10 @@ struct EngineOptions {
   /// anything costlier).
   Strategy strategy = Strategy::kEstimate;
 
-  /// Per-request worker-thread budget handed to the backends (batch fan-out)
-  /// and to the arbiter's batch pricing.  Serving throughput scales with
-  /// *caller* threads on the shared transforms regardless; keep this 1
-  /// unless individual requests are latency-critical.
+  /// Per-request worker-thread budget handed to the backends (batch
+  /// fan-out).  Serving throughput scales with *caller* threads on the
+  /// shared transforms regardless; keep this 1 unless individual requests
+  /// are latency-critical.
   int threads = 1;
 
   /// Largest unrolled leaf for planning (Planner::max_leaf).
@@ -188,14 +187,6 @@ class Engine {
   void execute_many(int n, double* x, std::size_t count);
   void execute_many(int n, double* x, std::size_t count, std::ptrdiff_t dist);
 
-  /// External-submitter hooks: the caller owns the per-call context, so the
-  /// instrumented backend's op tallies stay readable on it after the call
-  /// (the whtd daemon serves its service thread through one held context).
-  /// The overloads above build a throwaway context per call instead.
-  void execute(int n, double* x, ExecContext& ctx);
-  void execute_many(int n, double* x, std::size_t count, std::ptrdiff_t dist,
-                    ExecContext& ctx);
-
   /// execute(n, x) on the calling thread, returned as an already-ready
   /// future that holds any planning or execution error (n < 1 throws
   /// std::invalid_argument directly).  A shim kept only for perfbench's
@@ -304,12 +295,10 @@ class Engine {
   /// from a snapshot, and re-running on the reference backend.  Returns the
   /// column that actually served.
   std::size_t run_guarded(const Route& route, int n, double* x,
-                          std::size_t count, std::ptrdiff_t dist,
-                          ExecContext& ctx);
+                          std::size_t count, std::ptrdiff_t dist);
 
   /// The synchronous serve path behind every execute/execute_many overload.
-  void serve(int n, double* x, std::size_t count, std::ptrdiff_t dist,
-             ExecContext& ctx);
+  void serve(int n, double* x, std::size_t count, std::ptrdiff_t dist);
 
   EngineOptions options_;
   std::vector<std::string> candidates_;

@@ -12,7 +12,6 @@
 #include "core/executor.hpp"
 #include "core/parallel_executor.hpp"
 #include "core/schedule.hpp"
-#include "model/simd_cost.hpp"
 #include "simd/fused_executor.hpp"
 #include "simd/simd_executor.hpp"
 #include "util/parallel_chunks.hpp"
@@ -21,52 +20,19 @@ namespace whtlab::api {
 
 namespace {
 
-/// Across-vector fan-out pricing shared by the threaded batch backends: a
-/// batch of `count` splits over min(threads, count) workers.
-double fanout_factor(std::size_t count, int threads) {
-  const std::size_t workers =
-      std::max<std::size_t>(1, std::min<std::size_t>(
-                                   count, static_cast<std::size_t>(
-                                              std::max(threads, 1))));
-  return 1.0 / static_cast<double>(workers);
-}
-
 /// Sequential interpreter over the build-time generated codelets.
 class SequentialBackend final : public ExecutorBackend {
  public:
   const std::string& name() const override { return name_; }
 
-  void run(const core::Plan& plan, double* x, std::ptrdiff_t stride,
-           ExecContext& /*ctx*/) const override {
+  void run(const core::Plan& plan, double* x,
+           std::ptrdiff_t stride) const override {
     core::execute_node(plan.root(), x, stride,
                        core::codelet_table(core::CodeletBackend::kGenerated));
   }
 
  private:
   std::string name_ = "generated";
-};
-
-/// Op-counting interpreter; numerically identical to the sequential one.
-/// Tallies go to the caller's context, so concurrent runs never race.
-class InstrumentedBackend final : public ExecutorBackend {
- public:
-  const std::string& name() const override { return name_; }
-
-  void run(const core::Plan& plan, double* x, std::ptrdiff_t stride,
-           ExecContext& ctx) const override {
-    if (stride == 1) {
-      ctx.set_op_counts(core::execute_instrumented(plan, x));
-    } else {
-      // The instrumented interpreter is unit-stride only; op counts are
-      // stride-independent, so count closed-form and run the plain path.
-      core::execute_node(plan.root(), x, stride,
-                         core::codelet_table(core::CodeletBackend::kGenerated));
-      ctx.set_op_counts(core::count_ops(plan));
-    }
-  }
-
- private:
-  std::string name_ = "instrumented";
 };
 
 /// Fork-join executor over the root split.
@@ -77,8 +43,8 @@ class ParallelBackend final : public ExecutorBackend {
 
   const std::string& name() const override { return name_; }
 
-  void run(const core::Plan& plan, double* x, std::ptrdiff_t stride,
-           ExecContext& /*ctx*/) const override {
+  void run(const core::Plan& plan, double* x,
+           std::ptrdiff_t stride) const override {
     core::execute_parallel_strided(plan, x, stride, threads_, codelets_);
   }
 
@@ -86,7 +52,7 @@ class ParallelBackend final : public ExecutorBackend {
   /// worker runs whole transforms sequentially (no per-factor join points),
   /// the ROADMAP's batch-parallel execute_many.
   void run_many(const core::Plan& plan, double* x, std::size_t count,
-                std::ptrdiff_t dist, ExecContext& /*ctx*/) const override {
+                std::ptrdiff_t dist) const override {
     const auto& table = core::codelet_table(codelets_);
     util::parallel_chunks(
         count, threads_, [&plan, &table, x, dist](std::uint64_t begin,
@@ -97,11 +63,6 @@ class ParallelBackend final : public ExecutorBackend {
                                table);
           }
         });
-  }
-
-  double batch_factor(const core::Plan& /*plan*/, std::size_t count,
-                      int threads) const override {
-    return fanout_factor(count, std::min(threads, threads_));
   }
 
  private:
@@ -118,37 +79,18 @@ class SimdBackend final : public ExecutorBackend {
 
   const std::string& name() const override { return name_; }
 
-  void run(const core::Plan& plan, double* x, std::ptrdiff_t stride,
-           ExecContext& /*ctx*/) const override {
+  void run(const core::Plan& plan, double* x,
+           std::ptrdiff_t stride) const override {
     simd::execute(plan, x, stride);
   }
 
   void run_many(const core::Plan& plan, double* x, std::size_t count,
-                std::ptrdiff_t dist, ExecContext& /*ctx*/) const override {
+                std::ptrdiff_t dist) const override {
     simd::execute_many(plan, x, count, dist, threads_);
   }
 
   int vector_width() const override {
     return simd::vector_width(simd::active_level());
-  }
-
-  /// Thread fan-out, times the interleave amortization when this shape runs
-  /// batch-interleaved: W transforms in lockstep retire ~1/W of the scalar
-  /// walk's instruction stream each, while the per-vector vectorized walk
-  /// pays its scalar prefixes — model::interleave_amortization prices the
-  /// ratio.  This is what lets the Engine's arbiter route tiny-n batches
-  /// here while big single vectors go to "fused".  Interleaved batches fan
-  /// threads over the W-vector *groups* (execute_many's actual unit), not
-  /// over vectors — count/W groups cap the parallelism.
-  double batch_factor(const core::Plan& plan, std::size_t count,
-                      int threads) const override {
-    if (simd::batch_interleaves(plan, count)) {
-      const std::size_t groups =
-          std::max<std::size_t>(count / static_cast<std::size_t>(vector_width()), 1);
-      return fanout_factor(groups, std::min(threads, threads_)) *
-             model::interleave_amortization(plan, vector_width());
-    }
-    return fanout_factor(count, std::min(threads, threads_));
   }
 
  private:
@@ -173,13 +115,13 @@ class FusedBackend final : public ExecutorBackend {
 
   const std::string& name() const override { return name_; }
 
-  void run(const core::Plan& plan, double* x, std::ptrdiff_t stride,
-           ExecContext& /*ctx*/) const override {
+  void run(const core::Plan& plan, double* x,
+           std::ptrdiff_t stride) const override {
     simd::execute_fused(schedule_for(plan), x, stride);
   }
 
   void run_many(const core::Plan& plan, double* x, std::size_t count,
-                std::ptrdiff_t dist, ExecContext& /*ctx*/) const override {
+                std::ptrdiff_t dist) const override {
     simd::execute_fused_many(schedule_for(plan), x, count, dist, threads_);
   }
 
@@ -188,11 +130,6 @@ class FusedBackend final : public ExecutorBackend {
   }
 
   bool follows_plan() const override { return false; }
-
-  double batch_factor(const core::Plan& /*plan*/, std::size_t count,
-                      int threads) const override {
-    return fanout_factor(count, std::min(threads, threads_));
-  }
 
  private:
   const core::Schedule& schedule_for(const core::Plan& plan) const {
@@ -220,9 +157,6 @@ struct BackendRegistry::Impl {
 BackendRegistry::BackendRegistry() : impl_(std::make_shared<Impl>()) {
   impl_->factories["generated"] = [](const BackendOptions&) {
     return std::make_unique<SequentialBackend>();
-  };
-  impl_->factories["instrumented"] = [](const BackendOptions&) {
-    return std::make_unique<InstrumentedBackend>();
   };
   impl_->factories["parallel"] = [](const BackendOptions& options) {
     return std::make_unique<ParallelBackend>(std::max(options.threads, 1),

@@ -1,26 +1,24 @@
 // Pluggable execution backends for the wht::Transform façade.
 //
-// The repo grew three hand-wired ways to run a plan — core::execute (plain
+// The repo grew hand-wired ways to run a plan — core::execute (plain
 // interpreter over either codelet table), core::execute_parallel (fork-join
-// over the root split), and core::execute_instrumented (op-counting twin).
+// over the root split), the SIMD walk and the fused schedule engine.
 // ExecutorBackend puts them behind one polymorphic interface so a Transform
 // can own "how to run" as a value, and BackendRegistry makes the set
-// open-ended: future SIMD / GPU / sharded backends register under a string
-// key and become reachable from the Planner without touching callers.
+// open-ended: future GPU / sharded backends register under a string key and
+// become reachable from the Planner without touching callers.
 //
-// Execution contract (the concurrent-serving redesign): a backend is an
-// immutable recipe.  run()/run_many() are const and re-entrant — one
-// instance may execute any number of plans from any number of threads at
-// once — and the one per-call output besides the data (the instrumented
-// backend's op tallies) goes to the caller-supplied wht::ExecContext.  Work
-// buffers live on the call's own stack (the "simd" interleave tile).
-// Backends may hold derived immutable state built at construction (the
-// "fused" backend's lowered schedules); they must not keep per-call state
-// in members.
+// Execution contract: a backend is an immutable recipe.  run()/run_many()
+// are const and re-entrant — one instance may execute any number of plans
+// from any number of threads at once — and a call writes nothing but the
+// data it was handed.  Work buffers live on the call's own stack (the
+// "simd" interleave tile).  Backends may hold derived immutable state built
+// at construction (the "fused" backend's lowered schedules); they must not
+// keep per-call state in members.  The paper's I term is not an execution
+// output: core::count_ops(plan) counts it from the plan alone.
 //
 // Built-in keys (always registered):
 //   "generated"     sequential interpreter, build-time generated codelets
-//   "instrumented"  op-counting interpreter; tallies land in the ExecContext
 //   "parallel"      fork-join executor honouring BackendOptions::threads
 //   "simd"          vectorized tree walk + batch-interleaved run_many with
 //                   runtime CPUID dispatch (AVX-512F / AVX2 / scalar; see
@@ -39,9 +37,7 @@
 #include <string>
 #include <vector>
 
-#include "api/exec_context.hpp"
 #include "core/codelet.hpp"
-#include "core/instrumented.hpp"
 #include "core/plan.hpp"
 #include "perf/measure.hpp"
 
@@ -55,8 +51,7 @@ struct BackendOptions {
 
 /// One way of running a plan.  Instances are immutable after construction:
 /// run() and run_many() are const, re-entrant, and safe to invoke
-/// concurrently — per-call mutable state lives in the ExecContext the
-/// caller passes in.
+/// concurrently on distinct data.
 class ExecutorBackend {
  public:
   virtual ~ExecutorBackend() = default;
@@ -65,10 +60,8 @@ class ExecutorBackend {
   virtual const std::string& name() const = 0;
 
   /// Transforms the plan.size() elements x[0], x[stride], ... in place.
-  /// `ctx` receives per-run outputs (op tallies); callers serving from
-  /// multiple threads pass one context per thread.
-  virtual void run(const core::Plan& plan, double* x, std::ptrdiff_t stride,
-                   ExecContext& ctx) const = 0;
+  virtual void run(const core::Plan& plan, double* x,
+                   std::ptrdiff_t stride = 1) const = 0;
 
   /// Batched transform: `count` vectors, vector v at x + v*dist.  The
   /// default runs them one by one; backends with a faster batch shape
@@ -76,22 +69,10 @@ class ExecutorBackend {
   /// "simd" and "fused" fan vectors out across threads).  Callers guarantee
   /// |dist| >= size.
   virtual void run_many(const core::Plan& plan, double* x, std::size_t count,
-                        std::ptrdiff_t dist, ExecContext& ctx) const {
+                        std::ptrdiff_t dist) const {
     for (std::size_t v = 0; v < count; ++v) {
-      run(plan, x + static_cast<std::ptrdiff_t>(v) * dist, 1, ctx);
+      run(plan, x + static_cast<std::ptrdiff_t>(v) * dist, 1);
     }
-  }
-
-  /// Context-free conveniences: each call runs on a throwaway context, so
-  /// instrumented tallies are discarded — pass a context to read them.
-  void run(const core::Plan& plan, double* x, std::ptrdiff_t stride = 1) const {
-    ExecContext ctx;
-    run(plan, x, stride, ctx);
-  }
-  void run_many(const core::Plan& plan, double* x, std::size_t count,
-                std::ptrdiff_t dist) const {
-    ExecContext ctx;
-    run_many(plan, x, count, dist, ctx);
   }
 
   /// Doubles retired per arithmetic instruction on this backend's hot path
@@ -115,21 +96,6 @@ class ExecutorBackend {
   /// the tree-walk model does not describe override this.
   virtual std::function<double(const core::Plan&)> cost_model() const {
     return {};
-  }
-
-  /// Serve-shape pricing hook for the Engine's cross-backend arbiter
-  /// (api/engine.hpp): the predicted per-vector cost ratio of one
-  /// run_many(plan, count) over `count` independent run() calls with
-  /// `threads` workers available.  1.0 (the default) means batching buys
-  /// nothing; "parallel"/"simd"/"fused" return 1/workers for their
-  /// across-vector fan-out, and "simd" additionally prices the W-fold
-  /// overhead amortization of its batch-interleaved regime.
-  virtual double batch_factor(const core::Plan& plan, std::size_t count,
-                              int threads) const {
-    (void)plan;
-    (void)count;
-    (void)threads;
-    return 1.0;
   }
 };
 

@@ -59,8 +59,8 @@ class Planner {
   /// Planning strategy; default kEstimate (cheap and measurement-free).
   Planner& strategy(Strategy s);
 
-  /// Executor backend by registry name ("generated", "instrumented",
-  /// "parallel", "simd", "fused", or anything registered later).  Unset:
+  /// Executor backend by registry name ("generated", "parallel", "simd",
+  /// "fused", or anything registered later).  Unset:
   /// "generated", or "parallel" when threads() > 1.
   Planner& backend(std::string name);
 

@@ -49,15 +49,9 @@ void Transform::ensure_valid() const {
 void Transform::execute(double* x) const { execute(x, 1); }
 
 void Transform::execute(double* x, std::ptrdiff_t stride) const {
-  ExecContext ctx;
-  execute(x, stride, ctx);
-}
-
-void Transform::execute(double* x, std::ptrdiff_t stride,
-                        ExecContext& ctx) const {
   ensure_valid();
   if (stride == 0) throw std::invalid_argument("Transform: stride must be nonzero");
-  backend_->run(plan_, x, stride, ctx);
+  backend_->run(plan_, x, stride);
 }
 
 void Transform::execute_many(double* x, std::size_t count) const {
@@ -66,19 +60,13 @@ void Transform::execute_many(double* x, std::size_t count) const {
 
 void Transform::execute_many(double* x, std::size_t count,
                              std::ptrdiff_t dist) const {
-  ExecContext ctx;
-  execute_many(x, count, dist, ctx);
-}
-
-void Transform::execute_many(double* x, std::size_t count, std::ptrdiff_t dist,
-                             ExecContext& ctx) const {
   ensure_valid();
   const auto span = static_cast<std::ptrdiff_t>(size());
   if (dist > -span && dist < span) {
     throw std::invalid_argument(
         "Transform: |dist| must be >= size() so batch vectors do not overlap");
   }
-  backend_->run_many(plan_, x, count, dist, ctx);
+  backend_->run_many(plan_, x, count, dist);
 }
 
 void Transform::execute_copy(const double* in, double* out) const {

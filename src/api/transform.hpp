@@ -12,12 +12,9 @@
 //
 // Transforms are move-only (they own a backend instance) and cheap to move.
 // Execution is const and re-entrant: plan and backend are immutable after
-// planning, and the only per-call state (the instrumented backend's op
-// tallies) lives in a wht::ExecContext — one the caller passes explicitly,
-// or a throwaway one on the stack of a context-free call.  Nothing is
-// shared between calls, so no call takes a lock.  Share one Transform
-// across any number of threads with no external locking;
-// plan once, serve everywhere (planning is the expensive step, and
+// planning and a call writes nothing but its data, so no call takes a lock.
+// Share one Transform across any number of threads with no external
+// locking; plan once, serve everywhere (planning is the expensive step, and
 // wht::Engine builds the process-wide serving layer on exactly this
 // property — see api/engine.hpp).
 #pragma once
@@ -28,7 +25,6 @@
 #include <string>
 #include <vector>
 
-#include "api/exec_context.hpp"
 #include "api/executor_backend.hpp"
 #include "core/plan.hpp"
 #include "perf/measure.hpp"
@@ -90,12 +86,12 @@ class Transform {
   const PlanningInfo& planning() const { return info_; }
 
   /// The owned backend (for serve-time pricing: cost_model(),
-  /// batch_factor(), vector_width()).  Valid only while valid().
+  /// vector_width()).  Valid only while valid().
   const ExecutorBackend& backend() const { return *backend_; }
 
   /// In-place transform of x[0 .. size()).  Const and re-entrant: any number
-  /// of threads may execute one Transform concurrently (on distinct data);
-  /// each call runs on its own throwaway ExecContext and takes no lock.
+  /// of threads may execute one Transform concurrently (on distinct data),
+  /// and no call takes a lock.
   void execute(double* x) const;
 
   /// In-place transform of the size() elements x[0], x[stride], ...
@@ -108,13 +104,6 @@ class Transform {
   /// others run vectors one by one.
   void execute_many(double* x, std::size_t count) const;
   void execute_many(double* x, std::size_t count, std::ptrdiff_t dist) const;
-
-  /// Explicit-context variants: the caller owns the per-call state — the
-  /// only way to read the instrumented backend's op counts
-  /// (ctx.last_op_counts() after the call).
-  void execute(double* x, std::ptrdiff_t stride, ExecContext& ctx) const;
-  void execute_many(double* x, std::size_t count, std::ptrdiff_t dist,
-                    ExecContext& ctx) const;
 
   /// Out-of-place: out[0 .. size()) = WHT(in[0 .. size())).  `in` and `out`
   /// may alias exactly (degenerates to execute) but must not partially

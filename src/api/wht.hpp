@@ -10,7 +10,6 @@
 #pragma once
 
 #include "api/engine.hpp"            // IWYU pragma: export
-#include "api/exec_context.hpp"      // IWYU pragma: export
 #include "api/executor_backend.hpp"  // IWYU pragma: export
 #include "api/planner.hpp"           // IWYU pragma: export
 #include "api/transform.hpp"         // IWYU pragma: export

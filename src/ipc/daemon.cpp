@@ -735,14 +735,13 @@ void Daemon::handle_request(std::uint32_t index, SlotShared* cell,
   }
 
   // Singles and batches alike run in place in the client's arena, on the
-  // arbitrated backend, with the service thread's context (the Engine books
-  // a count-1 call as a single).
+  // arbitrated backend (the Engine books a count-1 call as a single).
   const std::uint64_t size = std::uint64_t{1} << request.n;
   Status status = Status::kOk;
   try {
     engine_->execute_many(static_cast<int>(request.n),
                           arena(index) + request.offset, request.count,
-                          static_cast<std::ptrdiff_t>(size), ctx_);
+                          static_cast<std::ptrdiff_t>(size));
     stats.vectors.fetch_add(request.count, std::memory_order_relaxed);
   } catch (...) {
     status = Status::kExecError;

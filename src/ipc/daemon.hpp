@@ -274,7 +274,6 @@ class Daemon {
   Shm shm_;
   Shm stats_shm_;  ///< observer-only telemetry page ("<shm name>.stats")
   std::unique_ptr<api::Engine> engine_;
-  api::ExecContext ctx_;  ///< the service thread's per-call context
   /// Daemon-private per-slot trust/budget state (credit bucket, strike
   /// ledger, last seq counter).  Lives here — never in the shared
   /// segment — so clients cannot rewrite their own budgets or rap sheets.

@@ -1,6 +1,5 @@
 #include "model/simd_cost.hpp"
 
-#include <algorithm>
 #include <cstdint>
 #include <vector>
 
@@ -68,18 +67,6 @@ double simd_instruction_count(const core::Plan& plan,
                               int width) {
   if (width <= 1) return instruction_count(plan, weights);
   return node_cost(plan.root(), Mode::kUnit, width, weights);
-}
-
-double interleave_amortization(const core::Plan& plan, int width) {
-  if (width <= 1) return 1.0;
-  const core::InstructionWeights weights;
-  const double per_vector = simd_instruction_count(plan, weights, width);
-  const double lockstep =
-      instruction_count(plan, weights) / static_cast<double>(width);
-  if (!(per_vector > 0.0) || !(lockstep > 0.0)) return 1.0;
-  // The lockstep stream can only be cheaper (it is the walk's ideal); the
-  // floor guards pathological weight choices from zeroing a serve cost.
-  return std::clamp(lockstep / per_vector, 0.05, 1.0);
 }
 
 }  // namespace whtlab::model

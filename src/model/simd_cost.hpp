@@ -29,13 +29,4 @@ double simd_instruction_count(const core::Plan& plan,
                               const core::InstructionWeights& weights,
                               int width);
 
-/// Predicted per-vector cost ratio of running `width` transforms
-/// batch-interleaved (whole-tree lockstep: every butterfly full-width, one
-/// tree walk drives W transforms — the ideal 1/W of the scalar stream)
-/// versus the per-vector vectorized walk simd_instruction_count prices
-/// (which pays scalar prefixes wherever its dispatch rules fall through).
-/// Always in (0, 1]; width <= 1 returns 1.  The serve-time arbiter's
-/// interleave term (ExecutorBackend::batch_factor for "simd").
-double interleave_amortization(const core::Plan& plan, int width);
-
 }  // namespace whtlab::model

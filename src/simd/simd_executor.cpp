@@ -132,8 +132,8 @@ void execute(const core::Plan& plan, double* x, std::ptrdiff_t stride) {
 
 namespace {
 
-/// THE interleave rule — execute_many's dispatch and the arbiter-facing
-/// batch_interleaves() predicate must never diverge, so both call this.
+/// When execute_many runs a batch interleaved: W vectors per group, and
+/// the W-vector group must fit the stack tile.
 bool interleaves(const KernelSet* kernels, std::uint64_t size,
                  std::size_t count) {
   if (kernels == nullptr) return false;
@@ -142,10 +142,6 @@ bool interleaves(const KernelSet* kernels, std::uint64_t size,
 }
 
 }  // namespace
-
-bool batch_interleaves(const core::Plan& plan, std::size_t count) {
-  return interleaves(kernels_for(active_level()), plan.size(), count);
-}
 
 void execute_many(const core::Plan& plan, double* x, std::size_t count,
                   std::ptrdiff_t dist, int threads) {

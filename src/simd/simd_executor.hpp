@@ -47,10 +47,4 @@ void execute(const core::Plan& plan, double* x, std::ptrdiff_t stride = 1);
 void execute_many(const core::Plan& plan, double* x, std::size_t count,
                   std::ptrdiff_t dist, int threads = 1);
 
-/// True when execute_many(plan, ..., count, ...) would take the
-/// batch-interleaved path at the active dispatch level — the tiny-transform
-/// serving shape whose W-fold overhead amortization the Engine's arbiter
-/// prices (api/engine.hpp).
-bool batch_interleaves(const core::Plan& plan, std::size_t count);
-
 }  // namespace whtlab::simd

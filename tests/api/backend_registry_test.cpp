@@ -6,10 +6,10 @@
 
 #include <algorithm>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "core/executor.hpp"
-#include "core/instrumented.hpp"
 #include "core/plan.hpp"
 #include "util/aligned_buffer.hpp"
 #include "util/rng.hpp"
@@ -19,18 +19,26 @@ namespace {
 
 TEST(BackendRegistry, BuiltinsAreRegistered) {
   auto& registry = BackendRegistry::global();
-  for (const char* name :
-       {"generated", "instrumented", "parallel", "simd"}) {
+  const std::vector<std::string> builtins = {"fused", "generated", "parallel",
+                                             "simd"};
+  for (const std::string& name : builtins) {
     EXPECT_TRUE(registry.contains(name)) << name;
     const auto backend = registry.create(name);
     ASSERT_NE(backend, nullptr) << name;
     EXPECT_EQ(backend->name(), name);
   }
+  // Exactly these: every backend the tests register has a '-' in its name
+  // and no built-in does, so the names without one are the built-ins.
+  std::vector<std::string> unhyphenated;
+  for (const std::string& name : registry.names()) {
+    if (name.find('-') == std::string::npos) unhyphenated.push_back(name);
+  }
+  EXPECT_EQ(unhyphenated, builtins);
 }
 
 TEST(BackendRegistry, NamesAreSortedAndContainBuiltins) {
   const auto names = BackendRegistry::global().names();
-  ASSERT_GE(names.size(), 5u);
+  ASSERT_GE(names.size(), 4u);
   EXPECT_TRUE(std::is_sorted(names.begin(), names.end()));
 }
 
@@ -60,8 +68,8 @@ TEST(BackendRegistry, CustomBackendIsCreatable) {
   class NegatingBackend final : public ExecutorBackend {
    public:
     const std::string& name() const override { return name_; }
-    void run(const core::Plan& plan, double* x, std::ptrdiff_t stride,
-             ExecContext& /*ctx*/) const override {
+    void run(const core::Plan& plan, double* x,
+             std::ptrdiff_t stride) const override {
       core::execute_node(plan.root(), x, stride,
                          core::codelet_table(core::CodeletBackend::kGenerated));
       for (std::uint64_t i = 0; i < plan.size(); ++i) {
@@ -142,8 +150,7 @@ TEST_P(BuiltinBackendTest, StridedRunMatchesGather) {
 }
 
 INSTANTIATE_TEST_SUITE_P(AllBuiltins, BuiltinBackendTest,
-                         ::testing::Values("generated", "instrumented",
-                                           "parallel", "simd"));
+                         ::testing::Values("generated", "parallel", "simd"));
 
 TEST(BackendRunMany, DefaultLoopAndOverridesAgree) {
   // Every built-in's batch path must equal per-vector runs of "generated" —
@@ -163,8 +170,7 @@ TEST(BackendRunMany, DefaultLoopAndOverridesAgree) {
 
   BackendOptions options;
   options.threads = 3;
-  for (const char* name :
-       {"generated", "instrumented", "parallel", "simd"}) {
+  for (const char* name : {"generated", "parallel", "simd"}) {
     auto backend = BackendRegistry::global().create(name, options);
     std::vector<double> batch = master;
     backend->run_many(plan, batch.data(), count, dist);
@@ -198,29 +204,6 @@ TEST(ParallelBackend, StridedForkJoinMatchesDense) {
   for (std::uint64_t i = 0; i + 1 < n; ++i) {
     ASSERT_EQ(strided[i * kStride + 1], -3.0) << i;  // gaps untouched
   }
-}
-
-TEST(InstrumentedBackend, OpCountsLandInTheContext) {
-  const auto backend = BackendRegistry::global().create("instrumented");
-  const core::Plan plan = core::Plan::right_recursive(9);
-  util::AlignedBuffer x(plan.size());
-  x.fill(1.0);
-  ExecContext ctx;
-  EXPECT_EQ(ctx.last_op_counts(), nullptr);  // nothing ran here yet
-  backend->run(plan, x.data(), 1, ctx);
-  const core::OpCounts* counts = ctx.last_op_counts();
-  ASSERT_NE(counts, nullptr);
-  EXPECT_EQ(*counts, core::count_ops(plan));
-}
-
-TEST(SequentialBackend, DoesNotInstrument) {
-  const auto backend = BackendRegistry::global().create("generated");
-  const core::Plan plan = core::Plan::small(4);
-  util::AlignedBuffer x(plan.size());
-  x.fill(1.0);
-  ExecContext ctx;
-  backend->run(plan, x.data(), 1, ctx);
-  EXPECT_EQ(ctx.last_op_counts(), nullptr);
 }
 
 }  // namespace

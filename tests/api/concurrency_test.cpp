@@ -9,11 +9,9 @@
 #include <thread>
 #include <vector>
 
-#include "api/exec_context.hpp"
 #include "api/planner.hpp"
 #include "api/transform.hpp"
 #include "core/executor.hpp"
-#include "core/instrumented.hpp"
 #include "core/plan.hpp"
 #include "util/rng.hpp"
 
@@ -90,46 +88,8 @@ TEST_P(SharedTransformTest, ConcurrentBatchesBitIdenticalToSerial) {
 }
 
 INSTANTIATE_TEST_SUITE_P(AllBackends, SharedTransformTest,
-                         ::testing::Values("generated", "instrumented",
-                                           "parallel", "simd", "fused"));
-
-TEST(SharedTransform, PerThreadOpCountsAreExact) {
-  // The instrumented backend's tallies land in each thread's own context:
-  // concurrent executes of one shared Transform never tear each other's
-  // counts.
-  const core::Plan plan = core::Plan::balanced_binary(10, 4);
-  const auto transform = Planner().fixed(plan).backend("instrumented").plan();
-  const core::OpCounts expected = core::count_ops(plan);
-
-  std::atomic<int> wrong{0};
-  std::vector<std::thread> pool;
-  for (int t = 0; t < 8; ++t) {
-    pool.emplace_back([&]() {
-      ExecContext ctx;
-      std::vector<double> work = random_vector(plan.size(), 5);
-      for (int i = 0; i < 6; ++i) {
-        ctx.clear_op_counts();
-        transform.execute(work.data(), 1, ctx);
-        const core::OpCounts* counts = ctx.last_op_counts();
-        if (counts == nullptr || !(*counts == expected)) wrong.fetch_add(1);
-      }
-    });
-  }
-  for (auto& thread : pool) thread.join();
-  EXPECT_EQ(wrong.load(), 0);
-}
-
-TEST(SharedTransform, ExplicitContextCarriesTheCall) {
-  // Caller-owned contexts: the tallies live on the caller's context.
-  const core::Plan plan = core::Plan::iterative(8);
-  const auto transform = Planner().fixed(plan).backend("instrumented").plan();
-  std::vector<double> work = random_vector(plan.size(), 9);
-
-  ExecContext ctx;
-  transform.execute(work.data(), 1, ctx);
-  ASSERT_NE(ctx.last_op_counts(), nullptr);
-  EXPECT_EQ(*ctx.last_op_counts(), core::count_ops(plan));
-}
+                         ::testing::Values("generated", "parallel", "simd",
+                                           "fused"));
 
 TEST(SharedTransform, ApplyIsSafeFromManyThreads) {
   // apply() transforms in its own result vector; concurrent calls must

@@ -49,9 +49,9 @@ namespace {
 constexpr int kCalls = 1000;
 
 /// Allocations made on the calling thread by `calls` serves of each shape
-/// the daemon and the in-process callers use: execute(n, x, ctx) and
-/// execute_many(..., ctx) with count 1 and count 16, plus the context-free
-/// execute(n, x) and execute_many(n, x, 16).  Every call starts from the
+/// the daemon and the in-process callers use: execute_many(n, x, count,
+/// dist) with count 1 and count 16, plus execute(n, x) and
+/// execute_many(n, x, 16).  Every call starts from the
 /// same pristine input, so no value ever overflows into a verify_finite
 /// strike.
 std::uint64_t serve_allocations(Engine& engine, int n, int calls) {
@@ -60,15 +60,12 @@ std::uint64_t serve_allocations(Engine& engine, int n, int calls) {
   const auto dist = static_cast<std::ptrdiff_t>(size);
   const std::vector<double> input = util::random_vector(size * 16, 7 + n);
   std::vector<double> x(input.size());
-  ExecContext ctx;
   const auto serve_all = [&](int repeat) {
     for (int i = 0; i < repeat; ++i) {
       std::memcpy(x.data(), input.data(), size * sizeof(double));
-      engine.execute(n, x.data(), ctx);
-      std::memcpy(x.data(), input.data(), size * sizeof(double));
-      engine.execute_many(n, x.data(), 1, dist, ctx);
+      engine.execute_many(n, x.data(), 1, dist);
       std::memcpy(x.data(), input.data(), x.size() * sizeof(double));
-      engine.execute_many(n, x.data(), 16, dist, ctx);
+      engine.execute_many(n, x.data(), 16, dist);
       std::memcpy(x.data(), input.data(), size * sizeof(double));
       engine.execute(n, x.data());
       std::memcpy(x.data(), input.data(), x.size() * sizeof(double));
@@ -118,7 +115,7 @@ TEST(EngineAllocation, ArmedBreakerAllocatesOnlyTheInputSnapshot) {
   options.verify_finite = true;
   Engine engine(options);
   for (const int n : {6, 10}) {
-    EXPECT_EQ(serve_allocations(engine, n, kCalls), 5u * kCalls)
+    EXPECT_EQ(serve_allocations(engine, n, kCalls), 4u * kCalls)
         << "n=" << n << ": one snapshot per request, nothing else";
     EXPECT_EQ(engine.stats().failures, 0u);
   }

@@ -56,8 +56,8 @@ class ChurnBackend final : public ExecutorBackend {
 
   const std::string& name() const override { return name_; }
 
-  void run(const core::Plan& plan, double* x, std::ptrdiff_t stride,
-           ExecContext& /*ctx*/) const override {
+  void run(const core::Plan& plan, double* x,
+           std::ptrdiff_t stride) const override {
     if (flaky_ && g_churn_fail.load(std::memory_order_relaxed)) {
       throw std::runtime_error("churn backend failed");
     }
@@ -124,14 +124,13 @@ TEST(EngineTable, CountersAddUpUnderQuarantineChurn) {
   std::vector<std::thread> servers;
   for (int t = 0; t < 8; ++t) {
     servers.emplace_back([&, t] {
-      ExecContext ctx;
       std::vector<double> x(input.size());
       for (std::uint64_t i = 0; !stop.load(); ++i) {
         x = input;
         std::size_t count = 1;
         switch ((t + i) % 4) {
           case 0: engine.execute(kN, x.data()); break;
-          case 1: engine.execute(kN, x.data(), ctx); break;
+          case 1: engine.execute_many(kN, x.data(), 1); break;
           case 2:
             count = kBatch;
             engine.execute_many(kN, x.data(), count);
@@ -139,7 +138,7 @@ TEST(EngineTable, CountersAddUpUnderQuarantineChurn) {
           default:
             count = kBatch;
             engine.execute_many(kN, x.data(), count,
-                                static_cast<std::ptrdiff_t>(size), ctx);
+                                static_cast<std::ptrdiff_t>(size));
         }
         if (std::memcmp(x.data(), reference.data(),
                         count * size * sizeof(double)) != 0) {

@@ -39,8 +39,8 @@ class SpinBackend final : public ExecutorBackend {
 
   const std::string& name() const override { return name_; }
 
-  void run(const core::Plan& plan, double* x, std::ptrdiff_t stride,
-           ExecContext& /*ctx*/) const override {
+  void run(const core::Plan& plan, double* x,
+           std::ptrdiff_t stride) const override {
     core::execute_node(plan.root(), x, stride,
                        core::codelet_table(core::CodeletBackend::kGenerated));
     const auto deadline =

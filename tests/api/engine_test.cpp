@@ -1,5 +1,5 @@
 // wht::Engine: shared plan cache, serve-time backend arbitration by request
-// shape, serving on the caller's thread only, and thread-safety of the whole
+// size, serving on the caller's thread only, and thread-safety of the whole
 // serving surface (runs under the TSan CI job).
 #include "api/engine.hpp"
 
@@ -24,19 +24,17 @@ namespace {
 
 using util::random_vector;
 
-/// Correct executor with a scripted cost shape, so arbitration decisions
-/// are deterministic regardless of host ISA and measurement noise.
+/// Correct executor with a scripted per-vector cost, so arbitration
+/// decisions are deterministic regardless of host ISA and measurement noise.
 class ScriptedBackend final : public ExecutorBackend {
  public:
-  ScriptedBackend(std::string name, double unit_cost, double batched_factor)
-      : name_(std::move(name)),
-        unit_cost_(unit_cost),
-        batched_factor_(batched_factor) {}
+  ScriptedBackend(std::string name, double unit_cost)
+      : name_(std::move(name)), unit_cost_(unit_cost) {}
 
   const std::string& name() const override { return name_; }
 
-  void run(const core::Plan& plan, double* x, std::ptrdiff_t stride,
-           ExecContext& /*ctx*/) const override {
+  void run(const core::Plan& plan, double* x,
+           std::ptrdiff_t stride) const override {
     core::execute_node(plan.root(), x, stride,
                        core::codelet_table(core::CodeletBackend::kGenerated));
   }
@@ -46,34 +44,28 @@ class ScriptedBackend final : public ExecutorBackend {
     return [cost](const core::Plan&) { return cost; };
   }
 
-  double batch_factor(const core::Plan& /*plan*/, std::size_t count,
-                      int /*threads*/) const override {
-    return count >= 4 ? batched_factor_ : 1.0;
-  }
-
  private:
   std::string name_;
   double unit_cost_;
-  double batched_factor_;
 };
 
-/// Two candidates with crossing cost curves: "scripted-single" wins lone
-/// vectors, "scripted-batch" wins once four or more coalesce.
+/// Two candidates ten times apart in price: "scripted-cheap" wins every
+/// request.
 void ensure_scripted_backends() {
   auto& registry = BackendRegistry::global();
-  if (registry.contains("scripted-single")) return;
-  registry.register_factory("scripted-single", [](const BackendOptions&) {
-    return std::make_unique<ScriptedBackend>("scripted-single", 100.0, 1.0);
+  if (registry.contains("scripted-cheap")) return;
+  registry.register_factory("scripted-cheap", [](const BackendOptions&) {
+    return std::make_unique<ScriptedBackend>("scripted-cheap", 100.0);
   });
-  registry.register_factory("scripted-batch", [](const BackendOptions&) {
-    return std::make_unique<ScriptedBackend>("scripted-batch", 1000.0, 0.01);
+  registry.register_factory("scripted-costly", [](const BackendOptions&) {
+    return std::make_unique<ScriptedBackend>("scripted-costly", 1000.0);
   });
 }
 
 EngineOptions scripted_options() {
   ensure_scripted_backends();
   EngineOptions options;
-  options.backends = {"scripted-single", "scripted-batch"};
+  options.backends = {"scripted-cheap", "scripted-costly"};
   options.measure_costs = false;  // compare the scripted models verbatim
   return options;
 }
@@ -88,50 +80,52 @@ TEST(EngineArbitration, BrokenCandidateIsSkippedNotFatal) {
         });
   }
   EngineOptions options;
-  options.backends = {"scripted-single", "scripted-broken"};
+  options.backends = {"scripted-cheap", "scripted-broken"};
   options.measure_costs = false;
   Engine engine(options);
 
   // The healthy candidate serves; the broken one is absent from the
   // ranking instead of poisoning the whole size.
   const auto decision = engine.arbitrate(8, 1);
-  EXPECT_EQ(decision.backend, "scripted-single");
+  EXPECT_EQ(decision.backend, "scripted-cheap");
   EXPECT_EQ(decision.candidates.size(), 1u);
   auto x = random_vector(1u << 8, 7);
   engine.execute(8, x.data());  // must not throw
 }
 
-TEST(EngineArbitration, PicksDifferentBackendsForDifferentShapes) {
-  Engine engine(scripted_options());
-
-  const auto single = engine.arbitrate(8, 1);
-  EXPECT_EQ(single.backend, "scripted-single");
-  EXPECT_DOUBLE_EQ(single.cost, 100.0);
-
-  const auto batch = engine.arbitrate(8, 8);
-  EXPECT_EQ(batch.backend, "scripted-batch");
-  EXPECT_DOUBLE_EQ(batch.cost, 1000.0 * 8 * 0.01);
-
-  // Both candidates are priced and ranked cheapest-first.
-  ASSERT_EQ(batch.candidates.size(), 2u);
-  EXPECT_EQ(batch.candidates[0].backend, batch.backend);
-  EXPECT_LE(batch.candidates[0].cost, batch.candidates[1].cost);
-}
-
 TEST(EngineArbitration, RoutingFollowsTheDecision) {
   Engine engine(scripted_options());
-  const std::uint64_t n = 1u << 8;
-  auto single = random_vector(n, 1);
-  engine.execute(8, single.data());
-  auto batch = random_vector(n * 8, 2);
-  engine.execute_many(8, batch.data(), 8);
+  const auto decision = engine.arbitrate(8, 1);
+  EXPECT_EQ(decision.backend, "scripted-cheap");
+  EXPECT_DOUBLE_EQ(decision.cost, 100.0);
+  // Both candidates are priced and ranked cheapest-first.
+  ASSERT_EQ(decision.candidates.size(), 2u);
+  EXPECT_EQ(decision.candidates[0].backend, decision.backend);
+  EXPECT_LE(decision.candidates[0].cost, decision.candidates[1].cost);
 
+  auto single = random_vector(std::uint64_t{1} << 8, 1);
+  engine.execute(8, single.data());
   const auto stats = engine.stats();
-  EXPECT_EQ(stats.per_backend.at("scripted-single"), 1u);
-  EXPECT_EQ(stats.per_backend.at("scripted-batch"), 8u);
-  EXPECT_EQ(stats.vectors, 9u);
+  EXPECT_EQ(stats.per_backend.at("scripted-cheap"), 1u);
+  EXPECT_EQ(stats.per_backend.count("scripted-costly"), 0u);
+  EXPECT_EQ(stats.vectors, 1u);
   EXPECT_EQ(stats.singles, 1u);
-  EXPECT_EQ(stats.batches, 1u);
+  EXPECT_EQ(stats.batches, 0u);
+}
+
+TEST(EngineArbitration, BatchesPriceAtTheSingleAnchor) {
+  // A batch of `count` vectors costs count x the single-vector anchor on
+  // every candidate, so it goes wherever a single of its size goes.
+  Engine engine;
+  for (const int n : {1, 2, 6, 8, 10}) {
+    const auto single = engine.arbitrate(n, 1);
+    for (const std::size_t count : {2u, 16u, 64u}) {
+      const auto batch = engine.arbitrate(n, count);
+      EXPECT_EQ(batch.backend, single.backend) << n << " x " << count;
+      EXPECT_DOUBLE_EQ(batch.cost, static_cast<double>(count) * single.cost)
+          << n << " x " << count;
+    }
+  }
 }
 
 TEST(EngineArbitration, RealBackendsPriceEveryCandidate) {
@@ -208,6 +202,21 @@ TEST(Engine, SubmitErrorsSurfaceThroughTheFuture) {
   auto future = engine.submit(30, &dummy);  // planner rejects n > 26
   EXPECT_THROW(future.get(), std::invalid_argument);
   EXPECT_THROW(engine.submit(0, &dummy), std::invalid_argument);
+}
+
+TEST(Engine, RejectsOutOfRangeSizesBeforeShifting) {
+  EngineOptions options;
+  options.backends = {"generated"};
+  options.measure_costs = false;
+  Engine engine(options);
+  double dummy = 0.0;
+  for (const int n : {-1, 0, 27, 64}) {
+    EXPECT_THROW(engine.execute(n, &dummy), std::invalid_argument) << n;
+    EXPECT_THROW(engine.execute_many(n, &dummy, 2), std::invalid_argument) << n;
+    EXPECT_THROW(engine.execute_many(n, &dummy, 2, 1), std::invalid_argument)
+        << n;
+  }
+  EXPECT_EQ(engine.stats().vectors, 0u);
 }
 
 TEST(Engine, RejectsUnknownCandidates) {

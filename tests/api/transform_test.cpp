@@ -149,20 +149,6 @@ TEST(Transform, ParallelBackendMatchesSequential) {
   EXPECT_EQ(a, b);
 }
 
-TEST(Transform, InstrumentedBackendExposesOpCounts) {
-  const core::Plan plan = core::Plan::iterative(8);
-  auto t = fixed(plan, "instrumented");
-  auto data = random_vector(plan.size(), 7);
-  auto reference = data;
-  ExecContext ctx;
-  t.execute(data.data(), 1, ctx);
-  core::execute(plan, reference.data());
-  EXPECT_EQ(data, reference);
-  const core::OpCounts* counts = ctx.last_op_counts();
-  ASSERT_NE(counts, nullptr);
-  EXPECT_EQ(*counts, core::count_ops(plan));
-}
-
 TEST(Transform, MeasureReportsOrderedStatistics) {
   auto t = fixed(core::Plan::balanced_binary(8, 4));
   perf::MeasureOptions options;
